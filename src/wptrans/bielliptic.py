@@ -11,8 +11,6 @@ Nothing here claims a surface attains the candidate weights; only the
 refutation is mechanized.
 """
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,8 +25,6 @@ __all__ = [
     "scan_nontransitive",
     "two_hyperelliptic",
 ]
-
-WORKERS_ENV = "WPTRANS_WORKERS"
 
 # genera where the cubic-system bound g(g-1)/3 is the sharp maximum
 _KATO_LISTED = frozenset((3, 4, 6, 7, 9, 10))
@@ -140,41 +136,32 @@ def garcia_transitivity_test(g):
         TransitivityStatus.UNDECIDED, (1, total), tuple(reasons))
 
 
-def _scan_block(g_from, g_to):
-    out = []
-    for g in range(g_from, g_to + 1):
-        window = bielliptic_window(g)
-        total = g ** 3 - g
-        if any(total % w == 0 for w in window.candidates):
-            out.append(g)
-    return out
+# g^2 - 41g + 66 > 0 from here on: the certificate in scan_nontransitive
+_CERTIFIED_FROM = 40
 
 
-def _worker_count(workers):
-    if workers is not None:
-        return max(1, int(workers))
-    return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-
-
-def scan_nontransitive(g_from, g_to, workers=None):
+def scan_nontransitive(g_from, g_to):
     """Genera in [g_from, g_to] where the divisibility refutation fails.
 
-    Only g = 15 survives, in any range.  Sharded by contiguous genus
-    blocks when workers > 1 (default from WPTRANS_WORKERS).
+    Only g = 15 survives, in any range, and the cost does not grow with
+    the range.  With w1, w2 Kato's two candidate weights,
+
+        g^3 - g = (2g + 10) w1 + (18g - 30)
+        g^3 - g = (2g + 10) w2 + (14g - 50)
+
+    Twice the gaps w1 - (18g - 30) and w2 - (14g - 50) are
+    g^2 - 41g + 66 = (g - 40)(g - 1) + 26 and that plus 8g + 44, so for
+    g >= 40 each remainder lies strictly between 0 and its w and
+    neither candidate divides g^3 - g.  Only the genera below 40 are
+    checked one by one.
     """
     if not 11 <= g_from <= g_to:
         raise ValueError("need 11 <= g_from <= g_to, got (%r, %r)" % (g_from, g_to))
-    workers = _worker_count(workers)
-    span = g_to - g_from + 1
-    if workers == 1 or span < 2 * workers:
-        return _scan_block(g_from, g_to)
-    block = (span + workers - 1) // workers
-    starts = list(range(g_from, g_to + 1, block))
-    ends = [min(s + block - 1, g_to) for s in starts]
     survivors = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_scan_block, starts, ends):
-            survivors.extend(part)
+    for g in range(g_from, min(g_to, _CERTIFIED_FROM - 1) + 1):
+        total = g ** 3 - g
+        if any(total % w == 0 for w in bielliptic_window(g).candidates):
+            survivors.append(g)
     return survivors
 
 

@@ -72,7 +72,7 @@ def _build_parser():
     p = add("bielliptic-scan", "scan genera for survivors of the divisibility refutation")
     p.add_argument("--from", dest="g_from", type=int, required=True)
     p.add_argument("--to", dest="g_to", type=int, required=True)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help="deprecated; ignored")
 
     p = add("fermat", "Fermat curve weight accounting and transitivity")
     p.add_argument("--n", type=int, required=True)
@@ -81,7 +81,7 @@ def _build_parser():
 
     p = add("census", "brute-force element order census of PSL(2,q)")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help="deprecated; ignored")
 
     return parser
 

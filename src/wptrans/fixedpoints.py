@@ -20,16 +20,16 @@ __all__ = [
     "psl2q_fixed_points",
     "schoeneberg_is_weierstrass",
     "is_realizable_order",
+    "prime_power",
 ]
 
 
-def _prime_power(q):
-    """Decompose q = p**n with p prime, or raise ValueError."""
+def prime_power(q):
+    """Decompose q = p**n, p prime, n >= 1; ValueError otherwise."""
     if not isinstance(q, int) or isinstance(q, bool) or q < 2:
         raise ValueError("prime power expected, got %r" % (q,))
-    for p in range(2, q + 1):
-        if p * p > q:
-            return q, 1  # q itself is prime
+    p = 2
+    while p * p <= q:
         if q % p == 0:
             m, n = q, 0
             while m % p == 0:
@@ -38,6 +38,7 @@ def _prime_power(q):
             if m != 1:
                 raise ValueError("%d is not a prime power" % q)
             return p, n
+        p += 1
     return q, 1
 
 
@@ -93,7 +94,7 @@ def is_realizable_order(q, d):
         return False
     if d == 1:
         return True
-    p, _ = _prime_power(q)
+    p, _ = prime_power(q)
     half = gcd(2, q - 1)
     return (q - 1) % (half * d) == 0 or (q + 1) % (half * d) == 0 or d == p
 
@@ -118,7 +119,7 @@ def psl2q_fixed_points(q, periods, d):
     explicit divisibility tests.  A d matching no branch is not an
     element order of PSL(2,q) and is rejected.
     """
-    p, n = _prime_power(q)
+    p, n = prime_power(q)
     if d < 2:
         raise ValueError("element order must be >= 2")
     for m in periods:

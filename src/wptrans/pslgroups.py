@@ -12,13 +12,11 @@ fixed-point counts they quote are computed, but facts like the
 maximality of the (2,3,7) triangle group are recorded, not re-derived.
 """
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-from .fixedpoints import is_realizable_order, psl2q_fixed_points
+from .fixedpoints import is_realizable_order, prime_power, psl2q_fixed_points
 from .orbitweights import (
     TransitivityStatus,
     TransitivityVerdict,
@@ -42,7 +40,6 @@ __all__ = [
 ]
 
 CENSUS_Q_LIMIT = 32
-WORKERS_ENV = "WPTRANS_WORKERS"
 
 
 def _is_prime(m):
@@ -54,24 +51,6 @@ def _is_prime(m):
             return False
         f += 1
     return True
-
-
-def prime_power(q):
-    """Decompose q = p**n, p prime, n >= 1; ValueError otherwise."""
-    if not isinstance(q, int) or isinstance(q, bool) or q < 2:
-        raise ValueError("prime power expected, got %r" % (q,))
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            m, n = q, 0
-            while m % p == 0:
-                m //= p
-                n += 1
-            if m != 1:
-                raise ValueError("%d is not a prime power" % q)
-            return p, n
-        p += 1
-    return q, 1
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +260,8 @@ def _perm_order_and_fixed(images):
     return order, fixed
 
 
-def _census_shard(p, n, a_codes):
-    """Census counts contributed by matrices whose top-left entry is in a_codes.
+def _census_counts(p, n):
+    """Element-order counts of PSL(2, p^n), one matrix per element.
 
     Enumerates SL(2,q) directly: for a != 0, d = (1+bc)/a; for a = 0,
     bc = -1 forces c and leaves d free.  For odd q only the canonical
@@ -318,7 +297,7 @@ def _census_shard(p, n, a_codes):
                 assert fixed == 1, "order-%d element must fix exactly one point" % p
         counts[order] = counts.get(order, 0) + 1
 
-    for a in a_codes:
+    for a in range(q):
         if a != 0:
             if odd and neg[a] < a:
                 continue
@@ -338,19 +317,11 @@ def _census_shard(p, n, a_codes):
     return counts
 
 
-def _worker_count(workers):
-    if workers is not None:
-        return max(1, int(workers))
-    return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-
-
-def order_census(q, workers=None):
+def order_census(q):
     """Brute-force element-order census of PSL(2,q), q <= 32.
 
     Totals are checked against q(q^2-1)/gcd(2,q-1) and every occurring
     order is checked against the arithmetic realizability predicate.
-    workers > 1 shards the enumeration by the top-left matrix entry
-    (default from the WPTRANS_WORKERS environment variable).
     """
     p, n = prime_power(q)
     if q > CENSUS_Q_LIMIT:
@@ -358,19 +329,7 @@ def order_census(q, workers=None):
             "census is a desk-scale oracle, q <= %d; use the arithmetic "
             "order predicates for larger q" % CENSUS_Q_LIMIT
         )
-    workers = _worker_count(workers)
-
-    if workers == 1:
-        counts = _census_shard(p, n, range(q))
-    else:
-        chunks = [list(range(start, q, workers)) for start in range(workers)]
-        counts = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_census_shard, [p] * workers, [n] * workers, chunks):
-                for order, count in part.items():
-                    counts[order] = counts.get(order, 0) + count
-
-    census = OrderCensus(q, psl2_order(q), counts)
+    census = OrderCensus(q, psl2_order(q), _census_counts(p, n))
     for d in census.orders():
         assert is_realizable_order(q, d), (
             "census found order %d in PSL(2,%d) outside the arithmetic predicate" % (d, q)

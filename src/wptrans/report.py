@@ -368,7 +368,7 @@ def _run_modular(params):
 
 def _run_bielliptic_scan(params):
     g_from, g_to = _require(params, "g_from", "g_to")
-    survivors = bielliptic.scan_nontransitive(g_from, g_to, params.get("workers"))
+    survivors = bielliptic.scan_nontransitive(g_from, g_to)
     details = {}
     for g in survivors:
         verdict = bielliptic.garcia_transitivity_test(g)
@@ -458,7 +458,7 @@ def _run_validate_tables(params):
 
 def _run_census(params):
     (q,) = _require(params, "q")
-    census = pslgroups.order_census(q, params.get("workers"))
+    census = pslgroups.order_census(q)
     body = {
         "q": q,
         "group_order": census.group_order,

@@ -105,3 +105,18 @@ def brute_orbit_closure(seed, generators, apply_fn):
                 seen.add(image)
                 frontier.append(image)
     return seen
+
+
+def brute_bielliptic_survivors(g_from, g_to):
+    """Genera in [g_from, g_to] where a Kato candidate weight divides g^3 - g.
+
+    One division test per genus over the whole range, with the two
+    candidates (g^2 - 5g + 6)/2 and (g^2 - 5g + 10)/2 written out.
+    """
+    found = []
+    for g in range(g_from, g_to + 1):
+        total = g ** 3 - g
+        candidates = ((g * g - 5 * g + 6) // 2, (g * g - 5 * g + 10) // 2)
+        if any(total % w == 0 for w in candidates):
+            found.append(g)
+    return found

@@ -1,10 +1,13 @@
 """Kato's weight bounds and the bi-elliptic divisibility scan."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wptrans.bielliptic import (
+    _CERTIFIED_FROM,
     bielliptic_window,
     garcia_transitivity_test,
     kato_max_weight,
@@ -12,7 +15,10 @@ from wptrans.bielliptic import (
     scan_nontransitive,
     two_hyperelliptic,
 )
+from wptrans.cli import main
 from wptrans.orbitweights import TransitivityStatus
+
+from oracles import brute_bielliptic_survivors
 
 
 def test_kato_max_weight_values():
@@ -104,9 +110,43 @@ def test_garcia_guards():
 
 
 def test_scan_isolates_15():
-    assert scan_nontransitive(11, 10000) == [15]
-    assert scan_nontransitive(16, 100) == []
-    assert scan_nontransitive(15, 15) == [15]
+    for g_from, g_to, expected in ((11, 10000, [15]), (16, 100, []), (15, 15, [15])):
+        assert scan_nontransitive(g_from, g_to) == expected
+        assert brute_bielliptic_survivors(g_from, g_to) == expected
+
+
+def test_certificate_identities():
+    # both sides are cubics in g, so agreement at 4 points is already a proof
+    for g in range(11, 10 ** 4 + 1):
+        w1, w2 = bielliptic_window(g).candidates
+        assert g ** 3 - g == (2 * g + 10) * w1 + (18 * g - 30)
+        assert g ** 3 - g == (2 * g + 10) * w2 + (14 * g - 50)
+
+
+def test_certificate_remainders_are_proper_from_40():
+    def proper(g):
+        w1, w2 = bielliptic_window(g).candidates
+        return 0 < 18 * g - 30 < w1 and 0 < 14 * g - 50 < w2
+
+    for g in range(11, 10 ** 4 + 1):
+        w1, w2 = bielliptic_window(g).candidates
+        quadratic = g * g - 41 * g + 66
+        # twice the gap between each w and its remainder, as quadratics
+        assert 2 * (w1 - (18 * g - 30)) == quadratic
+        assert 2 * (w2 - (14 * g - 50)) == quadratic + 8 * g + 44
+        # g^2 - 41g + 66 = (g - 40)(g - 1) + 26, which is >= 26 for g >= 40
+        assert quadratic == (g - 40) * (g - 1) + 26
+        assert proper(g) == (g >= 40)
+    assert not proper(39)
+    # the scan checks one by one exactly the genera the certificate leaves open
+    assert _CERTIFIED_FROM == 40
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=11, max_value=5000), st.integers(min_value=11, max_value=5000))
+def test_scan_matches_oracle_on_subranges(a, b):
+    g_from, g_to = min(a, b), max(a, b)
+    assert scan_nontransitive(g_from, g_to) == brute_bielliptic_survivors(g_from, g_to)
 
 
 def test_scan_agrees_with_pointwise_test():
@@ -116,8 +156,28 @@ def test_scan_agrees_with_pointwise_test():
         assert (g in survivors) == (status is TransitivityStatus.UNDECIDED)
 
 
-def test_scan_workers_agree():
-    assert scan_nontransitive(11, 2000, workers=3) == scan_nontransitive(11, 2000)
+def _cli_body(capsys, argv):
+    assert main(argv + ["--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)["body"]
+
+
+def test_scan_workers_agree(monkeypatch, capsys):
+    # --workers and WPTRANS_WORKERS are deprecated and ignored
+    argv = ["bielliptic-scan", "--from", "11", "--to", "2000"]
+    plain = _cli_body(capsys, argv)
+    assert _cli_body(capsys, argv + ["--workers", "2"]) == plain
+    monkeypatch.setenv("WPTRANS_WORKERS", "2")
+    assert _cli_body(capsys, argv) == plain
+
+
+def test_cli_scan_of_a_huge_range_returns_at_once(capsys):
+    # a per-genus loop to 10^12 would run for hours; the certificate decides it
+    def survivors(g_from):
+        argv = ["bielliptic-scan", "--from", g_from, "--to", str(10 ** 12)]
+        return _cli_body(capsys, argv)["survivors"]
+
+    assert survivors("11") == [15]
+    assert survivors("40") == []
 
 
 def test_scan_guards():

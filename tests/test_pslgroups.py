@@ -1,9 +1,11 @@
 """Finite fields, the PSL(2,q) census, Hurwitz status, and verdicts."""
 
+import json
 import random
 
 import pytest
 
+from wptrans.cli import main
 from wptrans.fixedpoints import is_realizable_order
 from wptrans.orbitweights import TransitivityStatus
 from wptrans.pslgroups import (
@@ -141,15 +143,22 @@ def test_census_totals_and_realizability_two_sided():
         assert set(census.orders()) == arithmetic
 
 
-def test_census_workers_agree():
-    serial = order_census(13)
-    sharded = order_census(13, workers=2)
-    assert serial.counts == sharded.counts
+def _cli_body(capsys, argv):
+    assert main(argv + ["--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)["body"]
 
 
-def test_census_workers_env(monkeypatch):
+def test_census_workers_agree(capsys):
+    # --workers is deprecated and ignored: the census always runs in process
+    plain = _cli_body(capsys, ["census", "--q", "13"])
+    assert _cli_body(capsys, ["census", "--q", "13", "--workers", "2"]) == plain
+
+
+def test_census_workers_env(monkeypatch, capsys):
+    plain = _cli_body(capsys, ["census", "--q", "7"])
     monkeypatch.setenv("WPTRANS_WORKERS", "2")
-    assert order_census(7).counts == {1: 1, 2: 21, 3: 56, 4: 42, 7: 48}
+    assert _cli_body(capsys, ["census", "--q", "7"]) == plain
+    assert plain["orders"] == [[1, 1], [2, 21], [3, 56], [4, 42], [7, 48]]
 
 
 def test_census_guards():

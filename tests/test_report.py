@@ -1,9 +1,13 @@
 """The embedded dataset, the report layer, and the command line."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import wptrans
 import wptrans.report as report_mod
 from wptrans.cli import main
 from wptrans.report import (
@@ -167,3 +171,14 @@ def test_cli_usage_errors_exit_via_argparse():
     assert info.value.code == 2
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_cli_import_loads_no_process_pools():
+    # a cold `wptrans` process should not pay for concurrent.* or multiprocessing.*
+    code = ("import sys, wptrans.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    src = os.path.dirname(os.path.dirname(wptrans.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
