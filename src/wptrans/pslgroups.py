@@ -43,14 +43,11 @@ CENSUS_Q_LIMIT = 32
 
 
 def _is_prime(m):
-    if m < 2:
+    """m is prime iff it is its own prime power p**1."""
+    try:
+        return prime_power(m) == (m, 1)
+    except ValueError:
         return False
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 1
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +163,7 @@ class FiniteField:
 def field_build(p, n):
     """Construct GF(p^n) with a verified-irreducible canonical modulus.
 
-    p must be prime (trial division) and p**n at most 2**16.
+    p must be prime and p**n at most 2**16.
     """
     if not _is_prime(p):
         raise ValueError("%r is not prime" % (p,))

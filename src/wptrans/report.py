@@ -16,6 +16,7 @@ order equals 2E.
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import bielliptic, fermat, fixedpoints, orbitweights, platonic, pslgroups
 from .surfacecore import RegularMapDescriptor, WeightDistribution, validate_map
@@ -29,6 +30,9 @@ __all__ = [
     "validate_section6_dataset",
     "CommandRequest",
     "ReportDocument",
+    "Param",
+    "Command",
+    "COMMANDS",
     "run",
     "render_text",
     "render_json",
@@ -229,13 +233,6 @@ class ReportDocument:
             assert key in self.provenance, "body key %r lacks a provenance tag" % key
 
 
-def _require(params, *names):
-    for name in names:
-        if params.get(name) is None:
-            raise ValueError("missing parameter: %s" % name)
-    return [params[name] for name in names]
-
-
 def _verdict_dict(verdict):
     return {
         "status": verdict.status.value,
@@ -272,56 +269,34 @@ def _cover_dict(cover):
     }
 
 
-def _run_hyperelliptic(params):
-    (g_max,) = _require(params, "max_genus")
-    covers = platonic.enumerate_transitive_hyperelliptic(g_max)
-    body = {
-        "max_genus": g_max,
+def _hyperelliptic(max_genus):
+    covers = platonic.enumerate_transitive_hyperelliptic(max_genus)
+    return {
+        "max_genus": max_genus,
         "count": len(covers),
         "surfaces": [_cover_dict(c) for c in covers],
     }
-    citations = (
-        "Accola-Maclachlan: every genus g carries a surface with an "
-        "automorphism group of order 8(g+1)",
-        "classification of hyperelliptic surfaces with a transitive action: "
-        "double covers of the sphere branched over the vertices or "
-        "edge-centres of a regular spherical map",
-    )
-    provenance = {"max_genus": "computed", "count": "computed", "surfaces": "computed"}
-    return body, citations, provenance
 
 
-def _run_hurwitz(params):
-    (q,) = _require(params, "q")
+def _hurwitz(q):
     status = pslgroups.is_hurwitz_psl2q(q)
     order = pslgroups.psl2_order(q)
-    body = {
+    return {
         "q": q,
         "group_order": order,
         "is_hurwitz": status.is_hurwitz,
         "reason": status.reason,
         "genus": pslgroups.hurwitz_genus(order) if status.is_hurwitz else None,
     }
-    citations = (
-        "Macbeath: PSL(2,q) is a Hurwitz group iff q = 7, or q = p prime with "
-        "p = +-1 mod 7, or q = p^3 with p = +-2 or +-3 mod 7",
-        "Hurwitz bound: |Aut X| <= 84(g - 1), attained exactly by (2,3,7) quotients",
-    )
-    provenance = {
-        "q": "computed", "group_order": "computed", "is_hurwitz": "computed",
-        "reason": "computed", "genus": "computed",
-    }
-    return body, citations, provenance
 
 
-def _run_orbit_weights(params):
-    order, periods, target = _require(params, "order", "periods", "target")
-    mask = tuple(params.get("mask", ()))
+def _orbit_weights(order, periods, target, mask=()):
+    mask = tuple(mask)
     profile = orbitweights.orbit_profile(order, periods)
     sols = orbitweights.solve_weight_equation(profile.orbit_sizes, target)
     verdict = orbitweights.classify(sols, zero_indices=mask, profile=profile)
     survivors = [list(v) for v in sols.solutions if all(v[i] == 0 for i in mask)]
-    body = {
+    return {
         "group_order": order,
         "periods": list(periods),
         "orbit_sizes": list(profile.orbit_sizes),
@@ -331,69 +306,29 @@ def _run_orbit_weights(params):
         "surviving_solutions": survivors,
         "verdict": _verdict_dict(verdict),
     }
-    citations = (
-        "Hurwitz: the total weight of the Weierstrass points is g^3 - g",
-        "orbit-stabilizer: an orbit through a point with stabilizer of order m "
-        "has size |G|/m",
-    )
-    provenance = {key: "computed" for key in body}
-    return body, citations, provenance
 
 
-def _run_psl_verdict(params):
-    q, t = _require(params, "q", "t")
+def _psl_verdict(q, t):
     verdict = pslgroups.psl2q_transitivity_verdict(q, t)
-    body = {"q": q, "t": t, "verdict": _verdict_dict(verdict)}
-    citations = (
-        "Macbeath: fixed-point counts of automorphisms in PSL(2,q) actions",
-        "Schoeneberg: an automorphism of order >= 2 with more than 4 fixed "
-        "points fixes only Weierstrass points",
-    )
-    provenance = {"q": "computed", "t": "computed", "verdict": "paper-derived"}
-    return body, citations, provenance
+    return {"q": q, "t": t, "verdict": _verdict_dict(verdict)}
 
 
-def _run_modular(params):
-    (p,) = _require(params, "p")
-    verdict = pslgroups.modular_surface_verdict(p)
-    body = {"p": p, "verdict": _verdict_dict(verdict)}
-    citations = (
-        "the modular surface X(p) is the (2,3,p) kernel surface for PSL(2,p)",
-        "Schoeneberg: an automorphism of order >= 2 with more than 4 fixed "
-        "points fixes only Weierstrass points",
-    )
-    provenance = {"p": "computed", "verdict": "paper-derived"}
-    return body, citations, provenance
+def _modular(p):
+    return {"p": p, "verdict": _verdict_dict(pslgroups.modular_surface_verdict(p))}
 
 
-def _run_bielliptic_scan(params):
-    g_from, g_to = _require(params, "g_from", "g_to")
+def _bielliptic_scan(g_from, g_to):
     survivors = bielliptic.scan_nontransitive(g_from, g_to)
-    details = {}
-    for g in survivors:
-        verdict = bielliptic.garcia_transitivity_test(g)
-        details[str(g)] = _verdict_dict(verdict)
-    body = {
+    return {
         "range": [g_from, g_to],
         "survivors": survivors,
-        "details": details,
+        "details": {str(g): _verdict_dict(bielliptic.garcia_transitivity_test(g))
+                    for g in survivors},
         "claim": "every g in [12, infinity) except 15 is refuted by divisibility",
     }
-    citations = (
-        "Kato: bi-elliptic surfaces of genus >= 11 are detected by a "
-        "Weierstrass point of weight in [(g^2-5g+6)/2, (g^2-g)/2)",
-        "Garcia: a transitive action forces one uniform weight, which must "
-        "divide g^3 - g",
-    )
-    provenance = {
-        "range": "computed", "survivors": "computed",
-        "details": "computed", "claim": "paper-derived",
-    }
-    return body, citations, provenance
 
 
-def _run_fermat(params):
-    (n,) = _require(params, "n")
+def _fermat(n):
     report = fermat.weight_accounting(n)
     verdict = fermat.fermat_transitivity(n)
     orbit_sizes = {
@@ -401,7 +336,7 @@ def _run_fermat(params):
     }
     if n >= 5:
         orbit_sizes["leopoldt"] = fermat.orbit_enumerate(n, fermat.leopoldt_points(n)[0])
-    body = {
+    return {
         "n": n,
         "genus": report.genus,
         "total_weight": report.total,
@@ -421,19 +356,11 @@ def _run_fermat(params):
         "orbit_sizes": orbit_sizes,
         "verdict": _verdict_dict(verdict),
     }
-    citations = (
-        "Hasse: the 3n trivial points have weight (n-1)(n-2)(n-3)(n+4)/24",
-        "Towse: the Leopoldt points have weight at least (n-1)(n-3)/8 (n odd) "
-        "or (n-2)(n-4)/8 (n even), with equality for n <= 8",
-        "the Fermat automorphism group (Z_n + Z_n) x| S_3 has order 6n^2",
-    )
-    provenance = {key: "computed" for key in body}
-    return body, citations, provenance
 
 
-def _run_validate_tables(params):
+def _validate_tables():
     report = validate_section6_dataset()
-    body = {
+    return {
         "summary": report.summary,
         "rows": [
             {
@@ -447,57 +374,179 @@ def _run_validate_tables(params):
             for check in report.checks
         ],
     }
-    citations = (
-        "Euler's polyhedron formula V - E + F = 2 - 2g",
-        "Hurwitz: the total weight of the Weierstrass points is g^3 - g",
-        "Accola-Maclachlan: minimal maximal automorphism group order 8(g+1)",
-    )
-    provenance = {"summary": "computed", "rows": "paper-derived"}
-    return body, citations, provenance
 
 
-def _run_census(params):
-    (q,) = _require(params, "q")
+def _census(q):
     census = pslgroups.order_census(q)
-    body = {
+    return {
         "q": q,
         "group_order": census.group_order,
         "orders": [[d, count] for d, count in census.rows()],
     }
-    citations = (
-        "Dickson: element orders in PSL(2,q) divide p, (q-1)/gcd(2,q-1), "
-        "or (q+1)/gcd(2,q-1)",
-    )
-    provenance = {"q": "computed", "group_order": "computed", "orders": "oracle-verified"}
-    return body, citations, provenance
 
 
-_HANDLERS = {
-    "hyperelliptic": _run_hyperelliptic,
-    "hurwitz": _run_hurwitz,
-    "orbit-weights": _run_orbit_weights,
-    "psl-verdict": _run_psl_verdict,
-    "modular": _run_modular,
-    "bielliptic-scan": _run_bielliptic_scan,
-    "fermat": _run_fermat,
-    "validate-tables": _run_validate_tables,
-    "census": _run_census,
+def _parse_periods(text):
+    try:
+        periods = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError("periods must be comma-separated integers, got %r" % text)
+    if not periods:
+        raise ValueError("empty period list")
+    return periods
+
+
+def _parse_mask(text):
+    """'w1=0,w2=0' -> zero-based coordinate indices (0, 1); '' -> ()."""
+    if not text:
+        return ()
+    indices = []
+    for part in text.split(","):
+        name, _, value = part.strip().partition("=")
+        if value != "0":
+            raise ValueError("only zero constraints are supported, got %r" % part)
+        if not name.startswith("w") or not name[1:].isdigit() or int(name[1:]) < 1:
+            raise ValueError("mask entries look like w1=0, got %r" % part)
+        indices.append(int(name[1:]) - 1)
+    return tuple(sorted(set(indices)))
+
+
+class Param(NamedTuple):
+    """One subcommand parameter: its command-line flag and request key.
+
+    convert turns the flag's string into the request value after argparse
+    has run, so that its ValueError is reported as an input error (exit 2)
+    rather than as an argparse usage message.
+    """
+
+    flag: str
+    key: str
+    type: type = int
+    required: bool = True
+    default: object = None
+    help: str = None
+    convert: object = None
+
+
+class Command(NamedTuple):
+    """One subcommand: what `wptrans <name>` parses and what run computes.
+
+    body(**parameters) returns the report body.  provenance holds only the
+    tags that are not "computed".  ignored holds flags the parser still
+    accepts but that never reach the request.
+    """
+
+    help: str
+    params: tuple
+    body: object
+    citations: tuple
+    provenance: dict = {}
+    ignored: tuple = ()
+
+
+_SCHOENEBERG = (
+    "Schoeneberg: an automorphism of order >= 2 with more than 4 fixed "
+    "points fixes only Weierstrass points"
+)
+_HURWITZ_TOTAL = "Hurwitz: the total weight of the Weierstrass points is g^3 - g"
+_WORKERS = Param("--workers", "workers", required=False, help="deprecated; ignored")
+
+COMMANDS = {
+    "hyperelliptic": Command(
+        "hyperelliptic surfaces with a transitive action, by genus",
+        (Param("--max-genus", "max_genus"),),
+        _hyperelliptic,
+        ("Accola-Maclachlan: every genus g carries a surface with an "
+         "automorphism group of order 8(g+1)",
+         "classification of hyperelliptic surfaces with a transitive action: "
+         "double covers of the sphere branched over the vertices or "
+         "edge-centres of a regular spherical map")),
+    "hurwitz": Command(
+        "Macbeath's Hurwitz classification for PSL(2,q)",
+        (Param("--q", "q"),),
+        _hurwitz,
+        ("Macbeath: PSL(2,q) is a Hurwitz group iff q = 7, or q = p prime with "
+         "p = +-1 mod 7, or q = p^3 with p = +-2 or +-3 mod 7",
+         "Hurwitz bound: |Aut X| <= 84(g - 1), attained exactly by (2,3,7) quotients")),
+    "orbit-weights": Command(
+        "enumerate orbit-weight solutions and classify",
+        (Param("--order", "order"),
+         Param("--periods", "periods", str, help="comma separated, e.g. 2,3,7",
+               convert=_parse_periods),
+         Param("--target", "target"),
+         Param("--mask", "mask", str, required=False, default="",
+               help="zero constraints, e.g. w1=0,w2=0", convert=_parse_mask)),
+        _orbit_weights,
+        (_HURWITZ_TOTAL,
+         "orbit-stabilizer: an orbit through a point with stabilizer of order m "
+         "has size |G|/m")),
+    "psl-verdict": Command(
+        "transitivity verdict for PSL(2,q) on X_{t,q}",
+        (Param("--q", "q"), Param("--t", "t")),
+        _psl_verdict,
+        ("Macbeath: fixed-point counts of automorphisms in PSL(2,q) actions",
+         _SCHOENEBERG),
+        {"verdict": "paper-derived"}),
+    "modular": Command(
+        "transitivity verdict for the modular surface X(p)",
+        (Param("--p", "p"),),
+        _modular,
+        ("the modular surface X(p) is the (2,3,p) kernel surface for PSL(2,p)",
+         _SCHOENEBERG),
+        {"verdict": "paper-derived"}),
+    "bielliptic-scan": Command(
+        "scan genera for survivors of the divisibility refutation",
+        (Param("--from", "g_from"), Param("--to", "g_to")),
+        _bielliptic_scan,
+        ("Kato: bi-elliptic surfaces of genus >= 11 are detected by a "
+         "Weierstrass point of weight in [(g^2-5g+6)/2, (g^2-g)/2)",
+         "Garcia: a transitive action forces one uniform weight, which must "
+         "divide g^3 - g"),
+        {"claim": "paper-derived"},
+        ignored=(_WORKERS,)),
+    "fermat": Command(
+        "Fermat curve weight accounting and transitivity",
+        (Param("--n", "n"),),
+        _fermat,
+        ("Hasse: the 3n trivial points have weight (n-1)(n-2)(n-3)(n+4)/24",
+         "Towse: the Leopoldt points have weight at least (n-1)(n-3)/8 (n odd) "
+         "or (n-2)(n-4)/8 (n even), with equality for n <= 8",
+         "the Fermat automorphism group (Z_n + Z_n) x| S_3 has order 6n^2")),
+    "validate-tables": Command(
+        "re-derive every identity in the embedded map census",
+        (),
+        _validate_tables,
+        ("Euler's polyhedron formula V - E + F = 2 - 2g",
+         _HURWITZ_TOTAL,
+         "Accola-Maclachlan: minimal maximal automorphism group order 8(g+1)"),
+        {"rows": "paper-derived"}),
+    "census": Command(
+        "brute-force element order census of PSL(2,q)",
+        (Param("--q", "q"),),
+        _census,
+        ("Dickson: element orders in PSL(2,q) divide p, (q-1)/gcd(2,q-1), "
+         "or (q+1)/gcd(2,q-1)",),
+        {"orders": "oracle-verified"},
+        ignored=(_WORKERS,)),
 }
 
 
 def run(request):
-    """Dispatch a CommandRequest to its owning module and wrap the result."""
-    handler = _HANDLERS.get(request.subcommand)
-    if handler is None:
+    """Check a CommandRequest against COMMANDS, compute its body and wrap it."""
+    command = COMMANDS.get(request.subcommand)
+    if command is None:
         raise ValueError("unknown subcommand %r (expected one of %s)"
-                         % (request.subcommand, ", ".join(sorted(_HANDLERS))))
-    body, citations, provenance = handler(request.parameters)
+                         % (request.subcommand, ", ".join(sorted(COMMANDS))))
+    params = request.parameters
+    for param in command.params:
+        if param.required and params.get(param.key) is None:
+            raise ValueError("missing parameter: %s" % param.key)
+    body = command.body(**{p.key: params[p.key] for p in command.params if p.key in params})
     return ReportDocument(
         subcommand=request.subcommand,
-        parameters=dict(request.parameters),
-        citations=citations,
+        parameters=dict(params),
+        citations=command.citations,
         body=body,
-        provenance=provenance,
+        provenance={key: command.provenance.get(key, "computed") for key in body},
     )
 
 

@@ -120,3 +120,15 @@ def brute_bielliptic_survivors(g_from, g_to):
         if any(total % w == 0 for w in candidates):
             found.append(g)
     return found
+
+
+def brute_is_prime(m):
+    """Trial division by every f with f * f <= m."""
+    if m < 2:
+        return False
+    f = 2
+    while f * f <= m:
+        if m % f == 0:
+            return False
+        f += 1
+    return True

@@ -156,25 +156,27 @@ def test_scan_agrees_with_pointwise_test():
         assert (g in survivors) == (status is TransitivityStatus.UNDECIDED)
 
 
-def _cli_body(capsys, argv):
+def _cli_json(capsys, argv):
     assert main(argv + ["--format", "json"]) == 0
-    return json.loads(capsys.readouterr().out)["body"]
+    return json.loads(capsys.readouterr().out)
 
 
 def test_scan_workers_agree(monkeypatch, capsys):
-    # --workers and WPTRANS_WORKERS are deprecated and ignored
+    # --workers and WPTRANS_WORKERS are deprecated and ignored: neither the
+    # body nor the echoed parameters change
     argv = ["bielliptic-scan", "--from", "11", "--to", "2000"]
-    plain = _cli_body(capsys, argv)
-    assert _cli_body(capsys, argv + ["--workers", "2"]) == plain
+    plain = _cli_json(capsys, argv)
+    assert plain["parameters"] == {"g_from": 11, "g_to": 2000}
+    assert _cli_json(capsys, argv + ["--workers", "2"]) == plain
     monkeypatch.setenv("WPTRANS_WORKERS", "2")
-    assert _cli_body(capsys, argv) == plain
+    assert _cli_json(capsys, argv) == plain
 
 
 def test_cli_scan_of_a_huge_range_returns_at_once(capsys):
     # a per-genus loop to 10^12 would run for hours; the certificate decides it
     def survivors(g_from):
         argv = ["bielliptic-scan", "--from", g_from, "--to", str(10 ** 12)]
-        return _cli_body(capsys, argv)["survivors"]
+        return _cli_json(capsys, argv)["body"]["survivors"]
 
     assert survivors("11") == [15]
     assert survivors("40") == []

@@ -19,8 +19,9 @@ from wptrans.pslgroups import (
     psl2_order,
     psl2q_transitivity_verdict,
 )
+from wptrans.pslgroups import _is_prime
 
-from oracles import brute_order_census_tables
+from oracles import brute_is_prime, brute_order_census_tables
 
 PRIME_POWERS_32 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
 
@@ -44,6 +45,11 @@ def test_prime_power():
     for bad in (0, 1, 6, 12, 100):
         with pytest.raises(ValueError):
             prime_power(bad)
+
+
+def test_is_prime_matches_trial_division():
+    for m in range(-3, 5000):
+        assert _is_prime(m) == brute_is_prime(m), m
 
 
 def test_canonical_moduli():
@@ -143,22 +149,24 @@ def test_census_totals_and_realizability_two_sided():
         assert set(census.orders()) == arithmetic
 
 
-def _cli_body(capsys, argv):
+def _cli_json(capsys, argv):
     assert main(argv + ["--format", "json"]) == 0
-    return json.loads(capsys.readouterr().out)["body"]
+    return json.loads(capsys.readouterr().out)
 
 
 def test_census_workers_agree(capsys):
-    # --workers is deprecated and ignored: the census always runs in process
-    plain = _cli_body(capsys, ["census", "--q", "13"])
-    assert _cli_body(capsys, ["census", "--q", "13", "--workers", "2"]) == plain
+    # --workers is deprecated and ignored: the census always runs in process,
+    # and the flag is not echoed under parameters
+    plain = _cli_json(capsys, ["census", "--q", "13"])
+    assert plain["parameters"] == {"q": 13}
+    assert _cli_json(capsys, ["census", "--q", "13", "--workers", "2"]) == plain
 
 
 def test_census_workers_env(monkeypatch, capsys):
-    plain = _cli_body(capsys, ["census", "--q", "7"])
+    plain = _cli_json(capsys, ["census", "--q", "7"])
     monkeypatch.setenv("WPTRANS_WORKERS", "2")
-    assert _cli_body(capsys, ["census", "--q", "7"]) == plain
-    assert plain["orders"] == [[1, 1], [2, 21], [3, 56], [4, 42], [7, 48]]
+    assert _cli_json(capsys, ["census", "--q", "7"]) == plain
+    assert plain["body"]["orders"] == [[1, 1], [2, 21], [3, 56], [4, 42], [7, 48]]
 
 
 def test_census_guards():

@@ -11,6 +11,7 @@ import wptrans
 import wptrans.report as report_mod
 from wptrans.cli import main
 from wptrans.report import (
+    COMMANDS,
     CommandRequest,
     ReportDocument,
     load_dataset,
@@ -63,13 +64,6 @@ def test_validation_catches_tampered_rows(monkeypatch):
         validate_section6_dataset()
 
 
-def test_run_rejects_unknown_subcommand():
-    with pytest.raises(ValueError, match="unknown subcommand"):
-        run(CommandRequest("frobnicate"))
-    with pytest.raises(ValueError, match="missing parameter"):
-        run(CommandRequest("hurwitz"))
-
-
 EXAMPLES = (
     CommandRequest("hyperelliptic", {"max_genus": 6}),
     CommandRequest("hurwitz", {"q": 13}),
@@ -84,11 +78,34 @@ EXAMPLES = (
 )
 
 
+def _first_required(subcommand):
+    return next((p.key for p in COMMANDS[subcommand].params if p.required), None)
+
+
+def test_examples_cover_every_command():
+    assert sorted(r.subcommand for r in EXAMPLES) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "request_", [r for r in EXAMPLES if _first_required(r.subcommand)],
+    ids=lambda r: r.subcommand)
+def test_run_rejects_unknown_subcommand(request_):
+    with pytest.raises(ValueError, match="unknown subcommand"):
+        run(CommandRequest("frobnicate"))
+    # and a known one without its first required parameter
+    name = _first_required(request_.subcommand)
+    params = {k: v for k, v in request_.parameters.items() if k != name}
+    with pytest.raises(ValueError, match="^missing parameter: %s$" % name):
+        run(CommandRequest(request_.subcommand, params))
+
+
 @pytest.mark.parametrize("request_", EXAMPLES, ids=lambda r: r.subcommand)
 def test_every_subcommand_round_trips_through_json(request_):
     doc = run(request_)
     assert doc.citations
-    assert set(doc.body) <= set(doc.provenance)
+    assert list(doc.provenance) == list(doc.body)
+    # an override naming no body key would silently leave its key "computed"
+    assert set(COMMANDS[request_.subcommand].provenance) <= set(doc.body)
     assert set(doc.provenance.values()) <= {"paper-derived", "computed", "oracle-verified"}
     parsed = json.loads(render_json(doc))
     assert parsed == to_jsonable(doc)
