@@ -2,10 +2,13 @@
 
 Exit codes: 0 success, 2 usage or input error (including argparse
 failures), 3 internal assertion failure (an invariant the package
-promises was violated; these indicate a bug, not bad input).
+promises was violated; these indicate a bug, not bad input).  A reader
+that closes stdout early (`wptrans ... | head -1`) is not an error: the
+rest of the output is dropped and the exit code stays 0.
 """
 
 import argparse
+import os
 import sys
 
 from .report import COMMANDS, CommandRequest, render, run
@@ -51,7 +54,14 @@ def main(argv=None):
     except AssertionError as exc:
         print("internal check failed: %s" % exc, file=sys.stderr)
         return 3
-    print(output)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull so the interpreter's flush at exit is silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

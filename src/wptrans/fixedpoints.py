@@ -87,7 +87,7 @@ def is_realizable_order(q, d):
 
     d is accepted when d divides (q-1)/gcd(2,q-1) or (q+1)/gcd(2,q-1)
     or d equals the characteristic p.  This is the purely arithmetic
-    predicate; the brute-force order census gives the same answer for
+    predicate; the element-order census gives the same answer for
     every q it can reach.
     """
     if d < 1:

@@ -1,11 +1,23 @@
-"""PSL(2,q) made concrete: GF(p^n) arithmetic, a brute-force element
-census, Macbeath's Hurwitz classification, and transitivity verdicts.
+"""PSL(2,q) made concrete: GF(p^n) arithmetic, an element-order census
+by trace class, Macbeath's Hurwitz classification, and transitivity
+verdicts.
 
-The census is the oracle of this package: it enumerates the matrices of
-SL(2,q) directly (no group-theory shortcuts), canonicalizes modulo +-I,
-and reads off element orders from the permutation each matrix induces
-on the q+1 points of the projective line.  Everything the fixed-point
-formulas assume about element orders is cross-checked against it.
+The census is the oracle of this package.  It enumerates the matrices
+of SL(2,q) directly, canonicalized modulo +-I, and tallies them by
+trace.  The order then comes from one lemma: a non-scalar 2x2 matrix M
+of trace t and determinant 1 is GL(2,q)-conjugate to the companion
+matrix (0, -1; 1, t) of its characteristic polynomial x^2 - tx + 1
+(pick v not an eigenvector; in the basis v, Mv the matrix is that
+companion).  Conjugation keeps the order of the induced permutation of
+the q+1 points of the projective line and its number of fixed points,
+so one permutation per trace value gives the order of every element of
+that trace.  At t = +-2 (in characteristic 2, 2 = 0) this says M is
++-unipotent, of order p with one fixed point.  The only scalar visited
+is the identity.
+The per-element loop this replaces is kept as the test oracle
+tests/oracles.py:brute_projective_census.  Everything the fixed-point
+formulas assume about element orders is cross-checked against the
+census.
 
 The transitivity verdicts encode a case analysis as data: the
 fixed-point counts they quote are computed, but facts like the
@@ -24,6 +36,7 @@ from .orbitweights import (
     orbit_profile,
     solve_weight_equation,
 )
+from .surfacecore import check
 
 __all__ = [
     "FiniteField",
@@ -219,15 +232,15 @@ def psl2_order(q):
 
 @dataclass(frozen=True)
 class OrderCensus:
-    """Element-order histogram of PSL(2,q) from brute-force enumeration."""
+    """Element-order histogram of PSL(2,q) from enumerating the group."""
 
     q: int
     group_order: int
     counts: dict
 
     def __post_init__(self):
-        assert sum(self.counts.values()) == self.group_order, "census does not cover the group"
-        assert self.counts.get(1) == 1, "identity must be counted exactly once"
+        check(sum(self.counts.values()) == self.group_order, "census does not cover the group")
+        check(self.counts.get(1) == 1, "identity must be counted exactly once")
 
     def orders(self):
         return sorted(self.counts)
@@ -258,64 +271,65 @@ def _perm_order_and_fixed(images):
 
 
 def _census_counts(p, n):
-    """Element-order counts of PSL(2, p^n), one matrix per element.
+    """Element-order counts of PSL(2, p^n), tallied by trace class.
 
-    Enumerates SL(2,q) directly: for a != 0, d = (1+bc)/a; for a = 0,
-    bc = -1 forces c and leaves d free.  For odd q only the canonical
-    representative of {M, -M} is visited (first nonzero entry e with
-    code(e) < code(-e)), so every PSL element is seen exactly once.
-    Each element's order comes from its permutation of the projective
-    line (points: the q field codes plus a point at infinity); fixed
-    point sanity (non-identity elements fix at most 2 points, order-p
-    elements exactly one) is asserted on the fly.
+    Pass one enumerates SL(2,q) directly: for a != 0, d = (1+bc)/a; for
+    a = 0, bc = -1 forces c and leaves d free.  For odd q only the
+    canonical representative of {M, -M} is visited (first nonzero entry
+    e with code(e) < code(-e)), so every PSL element is seen exactly
+    once, and each visit adds one to its trace's tally.  M and -M are
+    one PSL element, so the tally needs no halving.
+
+    Pass two runs once per trace t that occurs, on the permutation of
+    the projective line (the q field codes plus a point at infinity)
+    induced by the companion matrix (0, -1; 1, t), x -> -1/(x + t); by
+    the module's lemma its order is that of every non-identity element
+    of trace t.  Fixed-point sanity (non-identity elements fix at most
+    2 points, order-p elements exactly one) is checked once per class.
     """
     field = field_build(p, n)
     add, mul, inv, neg = field.tables()
     q = field.q
     odd = q % 2 == 1
     INF = q
-    counts = {}
-
-    def visit(a, b, c, d):
-        images = []
-        row_ax = mul[a]
-        row_cx = mul[c]
-        for x in range(q):
-            den = add[row_cx[x]][d]
-            if den == 0:
-                images.append(INF)
-            else:
-                images.append(mul[add[row_ax[x]][b]][inv[den]])
-        images.append(mul[a][inv[c]] if c != 0 else INF)
-        order, fixed = _perm_order_and_fixed(images)
-        if order > 1:
-            assert fixed <= 2, "non-identity element fixing %d > 2 points" % fixed
-            if order == p:
-                assert fixed == 1, "order-%d element must fix exactly one point" % p
-        counts[order] = counts.get(order, 0) + 1
+    by_trace = [0] * q
 
     for a in range(q):
         if a != 0:
             if odd and neg[a] < a:
                 continue
             ia = inv[a]
+            add_a = add[a]
+            # trace a + d of the element with bc = u, where d = (1 + u) / a
+            trace_of = [add_a[mul[add[u][1]][ia]] for u in range(q)]
             for b in range(q):
-                row_b = mul[b]
-                for c in range(q):
-                    d = mul[add[row_b[c]][1]][ia]  # d = (1 + b c) / a
-                    visit(a, b, c, d)
+                for u in mul[b]:  # u = bc for every c
+                    by_trace[trace_of[u]] += 1
         else:
             for b in range(1, q):
                 if odd and neg[b] < b:
                     continue
-                c = neg[inv[b]]  # bc = -1
-                for d in range(q):
-                    visit(0, b, c, d)
+                for d in range(q):  # the trace is 0 + d
+                    by_trace[d] += 1
+    by_trace[add[1][1]] -= 1  # the identity, trace 2
+
+    counts = {1: 1}
+    for t, members in enumerate(by_trace):
+        if not members:
+            continue
+        add_t = add[t]
+        images = [INF if add_t[x] == 0 else neg[inv[add_t[x]]] for x in range(q)]
+        images.append(0)  # infinity -> 0/1
+        order, fixed = _perm_order_and_fixed(images)
+        check(fixed <= 2, "non-identity element fixing %d > 2 points" % fixed)
+        if order == p:
+            check(fixed == 1, "order-%d element must fix exactly one point" % p)
+        counts[order] = counts.get(order, 0) + members
     return counts
 
 
 def order_census(q):
-    """Brute-force element-order census of PSL(2,q), q <= 32.
+    """Element-order census of PSL(2,q) by trace class, q <= 32.
 
     Totals are checked against q(q^2-1)/gcd(2,q-1) and every occurring
     order is checked against the arithmetic realizability predicate.
@@ -328,9 +342,8 @@ def order_census(q):
         )
     census = OrderCensus(q, psl2_order(q), _census_counts(p, n))
     for d in census.orders():
-        assert is_realizable_order(q, d), (
-            "census found order %d in PSL(2,%d) outside the arithmetic predicate" % (d, q)
-        )
+        check(is_realizable_order(q, d),
+              "census found order %d in PSL(2,%d) outside the arithmetic predicate" % (d, q))
     return census
 
 
@@ -399,7 +412,7 @@ def psl2q_transitivity_verdict(q, t):
     if q > 15:
         f2 = psl2q_fixed_points(q, (2, 3, t), 2)
         f3 = psl2q_fixed_points(q, (2, 3, t), 3)
-        assert f2 > 4 and f3 > 4, "fixed point engine broke: F(2)=%d, F(3)=%d" % (f2, f3)
+        check(f2 > 4 and f3 > 4, "fixed point engine broke: F(2)=%d, F(3)=%d" % (f2, f3))
         return TransitivityVerdict(
             TransitivityStatus.NOT_TRANSITIVE, (2, 4), (
                 "Macbeath formula: an order-2 element fixes %d points, an order-3 "
@@ -440,7 +453,8 @@ def psl2q_transitivity_verdict(q, t):
         profile = orbit_profile(order, (2, 3, 7))
         sols = solve_weight_equation(profile.orbit_sizes, genus ** 3 - genus)
         verdict = classify(sols, profile=profile)
-        assert verdict.status is TransitivityStatus.TRANSITIVE
+        check(verdict.status is TransitivityStatus.TRANSITIVE,
+              "weight equation for q = %d, t = 7 is not transitive" % q)
         surface = "Klein quartic (genus 3)" if q == 7 else "Macbeath surface (genus 7)"
         return TransitivityVerdict(
             verdict.status, verdict.orbit_count_range,
@@ -451,8 +465,9 @@ def psl2q_transitivity_verdict(q, t):
         profile = orbit_profile(1092, (2, 3, 7))
         sols = solve_weight_equation(profile.orbit_sizes, 14 ** 3 - 14)
         verdict = classify(sols, zero_indices=(0, 1), profile=profile)
-        assert verdict.status is TransitivityStatus.UNDECIDED
-        assert verdict.orbit_count_range == (1, 2)
+        check(verdict.status is TransitivityStatus.UNDECIDED
+              and verdict.orbit_count_range == (1, 2),
+              "masked weight equation for q = 13, t = 7 is not undecided on 1..2 orbits")
         return TransitivityVerdict(
             verdict.status, verdict.orbit_count_range,
             verdict.reasons + (

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from . import bielliptic, fermat, fixedpoints, orbitweights, platonic, pslgroups
+from . import bielliptic, fermat, orbitweights, platonic, pslgroups
 from .surfacecore import RegularMapDescriptor, WeightDistribution, validate_map
 
 __all__ = [

@@ -21,7 +21,22 @@ __all__ = [
     "hyperelliptic_signature",
     "validate_map",
     "rh_area_consistency",
+    "InvariantError",
+    "check",
 ]
+
+
+class InvariantError(AssertionError):
+    """An invariant the package promises was violated: a bug, not bad input.
+
+    A subclass of AssertionError, so the CLI still maps it to exit code 3.
+    """
+
+
+def check(cond, msg):
+    """Raise InvariantError(msg) unless cond; unlike assert, survives python -O."""
+    if not cond:
+        raise InvariantError(msg)
 
 
 def _check_genus(g, minimum, what):

@@ -7,6 +7,7 @@ signal; neither side should be able to inherit a bug from the other.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -90,6 +91,117 @@ def brute_order_census_tables(codes, add, mul, neg, one):
             power = matmul(power, m)
             order += 1
         counts[order] = counts.get(order, 0) + 1
+    return counts
+
+
+def brute_projective_census(p, n):
+    """Order census of PSL(2, p^n), one projective-line permutation per element.
+
+    Builds GF(p^n) on its own: elements are coefficient tuples (constant
+    term first), and the modulus is the first monic degree-n polynomial
+    whose quotient ring has no zero divisors, checked over every pair of
+    nonzero elements.  Then walks SL(2,q): for a != 0, d = (1+bc)/a; for
+    a = 0, bc = -1 forces c and leaves d free.  For odd q only one of
+    each {M, -M} is kept: the one whose first nonzero entry e has a
+    smaller index than -e.  Each element's order is the lcm of the cycle
+    lengths of its permutation x -> (ax+b)/(cx+d) of the q+1 points of
+    the projective line; a non-identity element must fix at most 2
+    points, and an order-p element exactly one.
+    """
+    q = p ** n
+    elements = list(itertools.product(range(p), repeat=n))
+    zero_vec = (0,) * n
+
+    def times(u, v, modulus):
+        prod = [0] * (2 * n - 1)
+        for i in range(n):
+            for j in range(n):
+                prod[i + j] += u[i] * v[j]
+        # x^n = -(modulus[0] + modulus[1] x + ... + modulus[n-1] x^(n-1))
+        for k in range(2 * n - 2, n - 1, -1):
+            coeff = prod[k]
+            prod[k] = 0
+            for j in range(n):
+                prod[k - n + j] -= coeff * modulus[j]
+        return tuple(x % p for x in prod[:n])
+
+    modulus = None
+    for low in itertools.product(range(p), repeat=n):
+        field_ok = True
+        for u in elements:
+            for v in elements:
+                if u != zero_vec and v != zero_vec and times(u, v, low) == zero_vec:
+                    field_ok = False
+        if field_ok:
+            modulus = low
+            break
+    assert modulus is not None
+
+    index = {e: i for i, e in enumerate(elements)}
+    add = [[index[tuple((x + y) % p for x, y in zip(u, v))] for v in elements]
+           for u in elements]
+    mul = [[index[times(u, v, modulus)] for v in elements] for u in elements]
+    neg = [index[tuple((-x) % p for x in u)] for u in elements]
+    one = index[(1,) + (0,) * (n - 1)]
+    zero = index[zero_vec]
+    inv = [None] * q
+    for u in range(q):
+        for v in range(q):
+            if mul[u][v] == one:
+                inv[u] = v
+
+    infinity = q
+    odd = q % 2 == 1
+    counts = {}
+
+    def visit(a, b, c, d):
+        images = []
+        for x in range(q):
+            den = add[mul[c][x]][d]
+            if den == zero:
+                images.append(infinity)
+            else:
+                images.append(mul[add[mul[a][x]][b]][inv[den]])
+        if c == zero:
+            images.append(infinity)
+        else:
+            images.append(mul[a][inv[c]])
+        order = 1
+        fixed = 0
+        seen = [False] * (q + 1)
+        for start in range(q + 1):
+            if seen[start]:
+                continue
+            length = 0
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                x = images[x]
+                length += 1
+            if length == 1:
+                fixed += 1
+            order = order * length // math.gcd(order, length)
+        if order > 1:
+            assert fixed <= 2
+            if order == p:
+                assert fixed == 1
+        counts[order] = counts.get(order, 0) + 1
+
+    for a in range(q):
+        if a == zero:
+            continue
+        if odd and neg[a] < a:
+            continue
+        for b in range(q):
+            for c in range(q):
+                d = mul[add[mul[b][c]][one]][inv[a]]
+                visit(a, b, c, d)
+    for b in range(q):
+        if b == zero or (odd and neg[b] < b):
+            continue
+        c = neg[inv[b]]
+        for d in range(q):
+            visit(zero, b, c, d)
     return counts
 
 

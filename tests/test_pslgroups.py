@@ -1,10 +1,15 @@
 """Finite fields, the PSL(2,q) census, Hurwitz status, and verdicts."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import wptrans
+from wptrans import pslgroups
 from wptrans.cli import main
 from wptrans.fixedpoints import is_realizable_order
 from wptrans.orbitweights import TransitivityStatus
@@ -20,8 +25,9 @@ from wptrans.pslgroups import (
     psl2q_transitivity_verdict,
 )
 from wptrans.pslgroups import _is_prime
+from wptrans.surfacecore import InvariantError
 
-from oracles import brute_is_prime, brute_order_census_tables
+from oracles import brute_is_prime, brute_order_census_tables, brute_projective_census
 
 PRIME_POWERS_32 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
 
@@ -138,6 +144,35 @@ def test_census_matches_matrix_powering_oracle():
         add, mul, _, neg = f.tables()
         expected = brute_order_census_tables(range(q), add, mul, neg, 1)
         assert order_census(q).counts == expected
+
+
+def test_census_matches_projective_oracle():
+    # the trace-class census against one permutation per element
+    for q in PRIME_POWERS_32:
+        assert order_census(q).counts == brute_projective_census(*prime_power(q)), q
+
+
+def test_census_checks_raise_invariant_error(monkeypatch):
+    monkeypatch.setattr(pslgroups, "_census_counts", lambda p, n: {1: 1})
+    with pytest.raises(InvariantError, match="does not cover the group"):
+        order_census(7)
+    monkeypatch.undo()
+    monkeypatch.setattr(pslgroups, "_perm_order_and_fixed", lambda images: (2, 3))
+    with pytest.raises(InvariantError, match="fixing 3 > 2 points"):
+        order_census(7)
+
+
+def test_census_checks_survive_optimize():
+    # under python -O bare asserts vanish; the census checks must still exit 3
+    code = ("import sys; from wptrans import pslgroups, cli; "
+            "pslgroups._census_counts = lambda p, n: {1: 1}; "
+            "sys.exit(cli.main(['census', '--q', '7']))")
+    src = os.path.dirname(os.path.dirname(wptrans.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 3
+    assert "census does not cover the group" in done.stderr
 
 
 def test_census_totals_and_realizability_two_sided():

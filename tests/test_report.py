@@ -199,3 +199,24 @@ def test_cli_import_loads_no_process_pools():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, lines_read", [
+    (["census", "--q", "7"], 0),
+    (["orbit-weights", "--order", "1440", "--periods", "2,3,8", "--target", "29760"], 1),
+], ids=["before-output", "mid-listing"])
+def test_cli_closed_stdout_exits_quietly(argv, lines_read):
+    # `wptrans ... | head -1`: the reader closes the pipe before the output
+    # is written (census) or part way through a listing larger than the
+    # pipe buffer (orbit-weights); neither is an error
+    src = os.path.dirname(os.path.dirname(wptrans.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "wptrans.cli"] + argv, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
