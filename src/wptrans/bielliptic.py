@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .orbitweights import TransitivityStatus, TransitivityVerdict
+from .surfacecore import check
 
 __all__ = [
     "kato_max_weight",
@@ -40,13 +41,13 @@ def kato_max_weight(g):
     if g < 3:
         raise ValueError("Kato's bound needs genus >= 3, got %r" % (g,))
     if g in _KATO_LISTED:
-        assert g * (g - 1) % 3 == 0
+        check(g * (g - 1) % 3 == 0, "listed genus %d: g(g-1) not divisible by 3" % g)
         w = g * (g - 1) // 3
     else:
-        assert (g * g - 5 * g + 10) % 2 == 0
+        check((g * g - 5 * g + 10) % 2 == 0, "g^2 - 5g + 10 odd at g = %d" % g)
         w = (g * g - 5 * g + 10) // 2
     # stays below the hyperelliptic extreme g(g-1)/2
-    assert w < g * (g - 1) // 2, "bound exceeds the hyperelliptic weight"
+    check(w < g * (g - 1) // 2, "bound exceeds the hyperelliptic weight")
     return w
 
 
@@ -65,9 +66,9 @@ class WeightWindow:
     candidates: tuple
 
     def __post_init__(self):
-        assert self.low < self.high_exclusive, "empty window"
+        check(self.low < self.high_exclusive, "empty window")
         for w in self.candidates:
-            assert self.low <= w < self.high_exclusive, "candidate outside window"
+            check(self.low <= w < self.high_exclusive, "candidate outside window")
 
 
 def bielliptic_window(g):
@@ -79,7 +80,7 @@ def bielliptic_window(g):
     if g < 11:
         raise ValueError("below theorem hypothesis: bi-elliptic window needs g >= 11, got %r"
                          % (g,))
-    assert (g * g - 5 * g) % 2 == 0
+    check((g * g - 5 * g) % 2 == 0, "g^2 - 5g odd at g = %d" % g)
     low = (g * g - 5 * g + 6) // 2
     high = (g * g - g) // 2
     return WeightWindow(g, low, high, (low, (g * g - 5 * g + 10) // 2))
@@ -129,7 +130,7 @@ def garcia_transitivity_test(g):
         reasons.append("candidate weight %d divides g^3 - g: |W| = %d" % (w, count))
         if w == window.candidates[1]:
             value = nu(g)
-            assert 2 * g + 10 + value == Fraction(total, w), "|W| identity broke"
+            check(2 * g + 10 + value == Fraction(total, w), "|W| identity broke")
             reasons.append("|W| = 2g + 10 + nu(g) with nu(%d) = %s" % (g, value))
     reasons.append("divisibility alone cannot refute transitivity here")
     return TransitivityVerdict(

@@ -15,6 +15,8 @@ fixing more than 4 points fixes only Weierstrass points.
 from fractions import Fraction
 from math import gcd
 
+from .surfacecore import check
+
 __all__ = [
     "cyclic_fixed_points",
     "psl2q_fixed_points",
@@ -56,7 +58,7 @@ def _as_integer(value, context):
         raise ValueError("non-integral fixed point count %s for %s; "
                          "the inputs do not describe a realizable action" % (value, context))
     n = value.numerator
-    assert n >= 0, "negative fixed point count %d for %s" % (n, context)
+    check(n >= 0, "negative fixed point count %d for %s" % (n, context))
     return n
 
 
@@ -145,7 +147,7 @@ def psl2q_fixed_points(q, periods, d):
     hits = [value for applies, value in branches if applies]
     if not hits:
         raise ValueError("order %d is not realizable in PSL(2,%d)" % (d, q))
-    assert len(hits) == 1, "fixed point branches overlap for %s" % context
+    check(len(hits) == 1, "fixed point branches overlap for %s" % context)
     return _as_integer(Fraction(hits[0]), context)
 
 

@@ -18,7 +18,7 @@ with genus multiset {1, 2, 3, 5, 5, 9, 14}.
 import enum
 from dataclasses import dataclass
 
-from .surfacecore import RegularMapDescriptor, double_cover_genus, validate_map
+from .surfacecore import RegularMapDescriptor, check, double_cover_genus, validate_map
 
 __all__ = [
     "SphericalMap",
@@ -81,11 +81,12 @@ class SphericalMap:
         if self.family == "star":
             # free-edge convention: V=1, F=1, E=param; Euler and dart
             # identities do not apply naively.
-            assert self.V == 1 and self.F == 1 and self.E == self.param
+            check(self.V == 1 and self.F == 1 and self.E == self.param,
+                  "star map must have V = F = 1 and E = %d" % self.param)
             return
-        assert self.V - self.E + self.F == 2, "spherical map must have Euler characteristic 2"
+        check(self.V - self.E + self.F == 2, "spherical map must have Euler characteristic 2")
         n, m = self.type_pair
-        assert m * self.V == 2 * self.E and n * self.F == 2 * self.E, "dart identities fail"
+        check(m * self.V == 2 * self.E and n * self.F == 2 * self.E, "dart identities fail")
 
     @property
     def label(self):
@@ -192,9 +193,8 @@ class CoverResult:
         if self.cover_type is not None:
             n, m = self.cover_type
             report = validate_map(RegularMapDescriptor(n, m, self.V, self.E, self.F, self.genus))
-            assert report.status == "valid", (
-                "cover of %s fails map validation: %s" % (self.base.label, report.problems)
-            )
+            check(report.status == "valid",
+                  "cover of %s fails map validation: %s" % (self.base.label, report.problems))
 
 
 def _vertex_cover(base):

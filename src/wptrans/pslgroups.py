@@ -1,6 +1,7 @@
-"""PSL(2,q) made concrete: GF(p^n) arithmetic, an element-order census
-by trace class, Macbeath's Hurwitz classification, and transitivity
-verdicts.
+"""PSL(2,q) made concrete: GF(p^n) as lookup tables (q <= 32, filled by
+a digit recurrence, the modulus the first with no zero divisors), an
+element-order census by trace class, Macbeath's Hurwitz classification,
+and transitivity verdicts.
 
 The census is the oracle of this package.  It enumerates the matrices
 of SL(2,q) directly, canonicalized modulo +-I, and tallies them by
@@ -66,88 +67,32 @@ def _is_prime(m):
 # ---------------------------------------------------------------------------
 # GF(p^n)
 
-def _poly_mul_mod(u, v, p, modulus):
-    """Product of coefficient tuples u, v over GF(p), reduced mod modulus."""
-    n = len(modulus) - 1
-    out = [0] * (len(u) + len(v) - 1)
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                out[i + j] = (out[i + j] + ui * vj) % p
-    # long division by the monic modulus
-    for i in range(len(out) - 1, n - 1, -1):
-        coeff = out[i]
-        if coeff:
-            out[i] = 0
-            for j in range(n):
-                out[i - n + j] = (out[i - n + j] - coeff * modulus[j]) % p
-    return tuple(out[:n]) + (0,) * (n - len(out))
-
-
-def _poly_divisible(num, den, p):
-    """Whether den divides num over GF(p) (both little-endian, den monic-led)."""
-    num = list(num)
-    dd = len(den) - 1
-    while len(den) > 1 and den[-1] == 0:
-        den = den[:-1]
-        dd -= 1
-    lead_inv = pow(den[-1], p - 2, p)
-    for i in range(len(num) - 1, dd - 1, -1):
-        coeff = num[i]
-        if coeff:
-            factor = coeff * lead_inv % p
-            for j in range(dd + 1):
-                num[i - dd + j] = (num[i - dd + j] - factor * den[j]) % p
-    return not any(num)
-
-
 class FiniteField:
-    """GF(p^n) with elements encoded as integers 0..q-1 (base-p digits).
+    """GF(p^n) as lookup tables over the codes 0..q-1; see field_build."""
 
-    The modulus is the lexicographically first monic irreducible of
-    degree n (constant coefficient varying fastest), verified
-    irreducible at construction by trial division against every monic
-    polynomial of degree at most n/2.  Encoding 0 is zero and encoding
-    1 is one for every field.
-    """
-
-    def __init__(self, p, n, modulus):
+    def __init__(self, p, n, modulus, add, mul):
         self.p = p
         self.n = n
         self.q = p ** n
         self.modulus = modulus  # little-endian, length n+1, monic
-        self._tables = None
-
-    def decode(self, code):
-        digits = []
-        for _ in range(self.n):
-            code, r = divmod(code, self.p)
-            digits.append(r)
-        return tuple(digits)
-
-    def encode(self, digits):
-        code = 0
-        for d in reversed(digits):
-            code = code * self.p + d
-        return code
+        self._add = add
+        self._mul = mul
+        self._neg = [row.index(0) for row in add]
+        self._inv = [None] + [row.index(1) for row in mul[1:]]
 
     def add(self, x, y):
-        xd, yd = self.decode(x), self.decode(y)
-        return self.encode(tuple((a + b) % self.p for a, b in zip(xd, yd)))
+        return self._add[x][y]
 
     def neg(self, x):
-        return self.encode(tuple((-a) % self.p for a in self.decode(x)))
-
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
+        return self._neg[x]
 
     def mul(self, x, y):
-        return self.encode(_poly_mul_mod(self.decode(x), self.decode(y), self.p, self.modulus))
+        return self._mul[x][y]
 
     def inv(self, x):
         if x == 0:
             raise ZeroDivisionError("0 has no inverse")
-        return self.pow(x, self.q - 2)
+        return self._inv[x]
 
     def pow(self, x, k):
         result, base = 1, x
@@ -163,58 +108,43 @@ class FiniteField:
 
     def tables(self):
         """(add, mul, inv, neg) lookup tables; inv[0] is None."""
-        if self._tables is None:
-            q = self.q
-            add = [[self.add(x, y) for y in range(q)] for x in range(q)]
-            mul = [[self.mul(x, y) for y in range(q)] for x in range(q)]
-            inv = [None] + [self.inv(x) for x in range(1, q)]
-            neg = [self.neg(x) for x in range(q)]
-            self._tables = (add, mul, inv, neg)
-        return self._tables
+        return self._add, self._mul, self._inv, self._neg
 
 
 def field_build(p, n):
-    """Construct GF(p^n) with a verified-irreducible canonical modulus.
+    """GF(p^n), p prime and p**n <= CENSUS_Q_LIMIT, as lookup tables.
 
-    p must be prime and p**n at most 2**16.
+    A code's base-p digits, lowest first, are a polynomial in X, so
+    x = x % p + X * (x // p): add and mul follow digit by digit, and X * c
+    shifts c's digits up, folding the top one back through X^n = -m for
+    the modulus X^n + m.  The modulus is the first m = 0, 1, ... whose
+    table has no zero divisors (the first irreducible; X when n = 1).
+    The per-entry polynomial oracle is tests/oracles.py:brute_field_tables.
     """
     if not _is_prime(p):
         raise ValueError("%r is not prime" % (p,))
     if n < 1:
         raise ValueError("extension degree must be >= 1")
-    if p ** n > 2 ** 16:
-        raise ValueError("field size %d exceeds the 2^16 desk-scale bound" % p ** n)
+    q = p ** n
+    if q > CENSUS_Q_LIMIT:
+        raise ValueError("field size %d exceeds the desk-scale bound %d" % (q, CENSUS_Q_LIMIT))
 
-    if n == 1:
-        return FiniteField(p, 1, (0, 1))  # modulus x: GF(p) itself
-
-    # candidate moduli x^n + (digits of m), m counting upward; the first
-    # irreducible is the canonical choice.
-    for m in range(p ** n):
-        digits = []
-        mm = m
-        for _ in range(n):
-            mm, r = divmod(mm, p)
-            digits.append(r)
-        candidate = tuple(digits) + (1,)
-        if _candidate_irreducible(candidate, p, n):
-            return FiniteField(p, n, candidate)
+    add = [list(range(q))]
+    for x in range(1, q):
+        add.append([(x + y) % p + p * add[x // p][y // p] for y in range(q)])
+    scalar = [[0] * q]
+    for _ in range(1, p):
+        scalar.append([add[s][y] for y, s in enumerate(scalar[-1])])
+    top = p ** (n - 1)
+    for m in range(q):
+        x_to_n = add[m].index(0)  # -m
+        times_x = [add[c % top * p][scalar[c // top][x_to_n]] for c in range(q)]
+        mul = scalar[:]
+        for x in range(p, q):
+            mul.append([add[s][times_x[h]] for s, h in zip(mul[x % p], mul[x // p])])
+        if all(row.count(0) == 1 for row in mul[1:]):  # only mul[x][0] is 0
+            return FiniteField(p, n, tuple(m // p ** i % p for i in range(n)) + (1,), add, mul)
     raise AssertionError("no irreducible polynomial of degree %d over GF(%d)" % (n, p))
-
-
-def _candidate_irreducible(candidate, p, n):
-    # trial division by every monic polynomial of degree 1..n//2
-    for deg in range(1, n // 2 + 1):
-        for m in range(p ** deg):
-            digits = []
-            mm = m
-            for _ in range(deg):
-                mm, r = divmod(mm, p)
-                digits.append(r)
-            divisor = tuple(digits) + (1,)
-            if _poly_divisible(candidate, divisor, p):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,13 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import bielliptic, fermat, orbitweights, platonic, pslgroups
-from .surfacecore import RegularMapDescriptor, WeightDistribution, validate_map
+from .surfacecore import (
+    InvariantError,
+    RegularMapDescriptor,
+    WeightDistribution,
+    check,
+    validate_map,
+)
 
 __all__ = [
     "Section6Cell",
@@ -124,7 +130,7 @@ def load_dataset():
             presentation=_ROW_PRESENTATIONS.get(number, ""),
             note=_ROW_NOTES.get(number, ""),
         ))
-    assert [r.number for r in rows] == list(range(1, 13)), "expected rows 1..12"
+    check([r.number for r in rows] == list(range(1, 13)), "expected rows 1..12")
     return tuple(rows)
 
 
@@ -162,9 +168,9 @@ def validate_section6_dataset():
         try:
             checks.append(_check_row(row))
         except (AssertionError, ValueError) as exc:
-            raise AssertionError("row (%d) failed validation: %s" % (row.number, exc))
+            raise InvariantError("row (%d) failed validation: %s" % (row.number, exc))
     report = ValidationReport(tuple(checks))
-    assert report.ok
+    check(report.ok, report.summary)
     return report
 
 
@@ -178,13 +184,13 @@ def _check_row(row):
         genus=row.genus,
     )
     validation = validate_map(descriptor)
-    assert validation.ok, "; ".join(validation.problems)
+    check(validation.ok, "; ".join(validation.problems))
     notes = []
     if validation.status == "normalized":
         notes.append("type pair normalized to {%d,%d}" % validation.descriptor.type_pair)
 
     entries = row.weighted_entries()
-    assert len(entries) == 1, "expected exactly one weighted point class, found %d" % len(entries)
+    check(len(entries) == 1, "expected exactly one weighted point class, found %d" % len(entries))
     # every row's weighted class carries the full weight budget g^3 - g
     distribution = WeightDistribution(row.genus, tuple(entries), complete=True)
     total = distribution.weighted_sum()
@@ -192,10 +198,10 @@ def _check_row(row):
     am = None
     if row.group == "AM":
         am = row.order == 8 * (row.genus + 1)
-        assert am, "order %d != 8(g+1) = %d" % (row.order, 8 * (row.genus + 1))
+        check(am, "order %d != 8(g+1) = %d" % (row.order, 8 * (row.genus + 1)))
 
     order_is_2e = row.order == 2 * row.E.count
-    assert order_is_2e, "printed order %d != 2E = %d" % (row.order, 2 * row.E.count)
+    check(order_is_2e, "printed order %d != 2E = %d" % (row.order, 2 * row.E.count))
     if row.note:
         notes.append(row.note)
     return RowCheck(row.number, validation.status, total, am, order_is_2e, tuple(notes))
@@ -228,9 +234,9 @@ class ReportDocument:
     provenance: dict
 
     def __post_init__(self):
-        assert self.citations, "every report must cite at least one theorem"
+        check(self.citations, "every report must cite at least one theorem")
         for key in self.body:
-            assert key in self.provenance, "body key %r lacks a provenance tag" % key
+            check(key in self.provenance, "body key %r lacks a provenance tag" % key)
 
 
 def _verdict_dict(verdict):

@@ -94,6 +94,69 @@ def brute_order_census_tables(codes, add, mul, neg, one):
     return counts
 
 
+def brute_field_tables(p, n, modulus):
+    """(add, mul, inv, neg) of GF(p)[x] / modulus, one entry at a time.
+
+    A code's base-p digits, lowest first, are the coefficients of a
+    polynomial, constant term first; modulus is monic, little-endian,
+    of length n + 1.  Each mul entry is a schoolbook product of the two
+    digit tuples followed by long division by the modulus.  inv[u] is
+    found by searching u's row for 1 (None where there is none, as at
+    0), neg[u] by searching u's add row for 0.
+    """
+    q = p ** n
+
+    def digits(code):
+        return tuple(code // p ** i % p for i in range(n))
+
+    def code(digs):
+        return sum(d * p ** i for i, d in enumerate(digs))
+
+    def times(u, v):
+        prod = [0] * (2 * n - 1)
+        for i in range(n):
+            for j in range(n):
+                prod[i + j] += u[i] * v[j]
+        for k in range(2 * n - 2, n - 1, -1):
+            coeff = prod[k] % p
+            for j in range(n + 1):
+                prod[k - n + j] -= coeff * modulus[j]
+        return tuple(x % p for x in prod[:n])
+
+    add = [[code(tuple((a + b) % p for a, b in zip(digits(x), digits(y))))
+            for y in range(q)] for x in range(q)]
+    mul = [[code(times(digits(x), digits(y))) for y in range(q)] for x in range(q)]
+    inv = [row.index(1) if 1 in row else None for row in mul]
+    neg = [row.index(0) for row in add]
+    return add, mul, inv, neg
+
+
+def brute_first_irreducible(p, n):
+    """First monic degree-n polynomial over GF(p) with no proper factor.
+
+    Candidates x^n + c_(n-1) x^(n-1) + ... + c_0 come in the order of
+    sum c_i p^i, so the constant term varies fastest.  Each is divided
+    by every monic polynomial of degree 1..n//2; the first that leaves
+    a nonzero remainder every time is returned, little-endian.
+    """
+    def divides(den, num):
+        num = list(num)
+        d = len(den) - 1
+        for k in range(len(num) - 1, d - 1, -1):
+            coeff = num[k]
+            for j in range(d + 1):
+                num[k - d + j] = (num[k - d + j] - coeff * den[j]) % p
+        return not any(num)
+
+    divisors = [low + (1,) for deg in range(1, n // 2 + 1)
+                for low in itertools.product(range(p), repeat=deg)]
+    for m in range(p ** n):
+        candidate = tuple(m // p ** i % p for i in range(n)) + (1,)
+        if not any(divides(den, candidate) for den in divisors):
+            return candidate
+    raise AssertionError("no irreducible polynomial of degree %d over GF(%d)" % (n, p))
+
+
 def brute_projective_census(p, n):
     """Order census of PSL(2, p^n), one projective-line permutation per element.
 

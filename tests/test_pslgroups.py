@@ -27,7 +27,13 @@ from wptrans.pslgroups import (
 from wptrans.pslgroups import _is_prime
 from wptrans.surfacecore import InvariantError
 
-from oracles import brute_is_prime, brute_order_census_tables, brute_projective_census
+from oracles import (
+    brute_field_tables,
+    brute_first_irreducible,
+    brute_is_prime,
+    brute_order_census_tables,
+    brute_projective_census,
+)
 
 PRIME_POWERS_32 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
 
@@ -69,8 +75,21 @@ def test_canonical_moduli():
 def test_field_build_guards():
     with pytest.raises(ValueError):
         field_build(4, 1)
-    with pytest.raises(ValueError):
-        field_build(2, 17)  # 2^17 > 2^16
+    # the field bound is the census bound, q <= 32: no 2^16 x 2^16 tables
+    for p, n in ((2, 6), (3, 4), (2, 16), (2, 17)):
+        with pytest.raises(ValueError, match="exceeds"):
+            field_build(p, n)
+    field_build(2, 5)  # q = 32 is in bounds
+
+
+def test_field_tables_match_polynomial_oracle():
+    # digit-recurrence tables and modulus against per-entry polynomial
+    # arithmetic and trial division, for every prime power q <= 32
+    for q in PRIME_POWERS_32:
+        p, n = prime_power(q)
+        field = field_build(p, n)
+        assert field.modulus == brute_first_irreducible(p, n), q
+        assert field.tables() == brute_field_tables(p, n, field.modulus), q
 
 
 def test_gf8_arithmetic():

@@ -64,6 +64,21 @@ def test_validation_catches_tampered_rows(monkeypatch):
         validate_section6_dataset()
 
 
+def test_validation_survives_optimize():
+    # under python -O bare asserts vanish; a row whose printed order is not
+    # 2E must still stop validate-tables with exit 3
+    assert "|PSL(2,7)|168" in report_mod._DATASET
+    code = ("import sys; from wptrans import report, cli; "
+            "report._DATASET = report._DATASET.replace('|PSL(2,7)|168', '|PSL(2,7)|167'); "
+            "sys.exit(cli.main(['validate-tables']))")
+    src = os.path.dirname(os.path.dirname(wptrans.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 3, done.stdout
+    assert "row (6) failed validation: printed order 167 != 2E = 168" in done.stderr
+
+
 EXAMPLES = (
     CommandRequest("hyperelliptic", {"max_genus": 6}),
     CommandRequest("hurwitz", {"q": 13}),

@@ -1,7 +1,12 @@
 """Weight budget, signatures, and the map validator."""
 
+import ast
+import os
+
 import pytest
 from hypothesis import given, strategies as st
+
+import wptrans
 
 from wptrans.surfacecore import (
     FuchsianSignature,
@@ -139,3 +144,19 @@ def test_weight_distribution_budget():
         WeightDistribution(3, (("incomplete", 4, 2),), complete=True)
     with pytest.raises(ValueError):
         WeightDistribution(3, (("negative", 4, -1),), complete=False)
+
+
+# modules whose invariants are all `check` calls; orbitweights and fermat
+# still use bare asserts in their per-point and per-solution loops
+CHECKED_MODULES = ("cli", "surfacecore", "pslgroups", "report", "fixedpoints",
+                   "bielliptic", "platonic")
+
+
+@pytest.mark.parametrize("module", CHECKED_MODULES)
+def test_module_has_no_bare_assert(module):
+    # python -O strips assert statements; these modules must not rely on any
+    path = os.path.join(os.path.dirname(wptrans.__file__), module + ".py")
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), path)
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], "%s.py has bare asserts on lines %s" % (module, lines)
