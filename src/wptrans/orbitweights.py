@@ -19,9 +19,11 @@ w = |G_p| (g^3 - g) / |G| and the simple-point elimination chain.
 """
 
 import enum
+import math
+import operator
 from dataclasses import dataclass
 
-from .surfacecore import total_weight
+from .surfacecore import InvariantError, check, total_weight
 
 __all__ = [
     "OrbitProfile",
@@ -64,9 +66,9 @@ class TransitivityVerdict:
 
     def __post_init__(self):
         lo, hi = self.orbit_count_range
-        assert lo <= hi, "empty orbit count range"
+        check(lo <= hi, "empty orbit count range")
         if self.status is TransitivityStatus.TRANSITIVE:
-            assert self.orbit_count_range == (1, 1), "transitive means exactly one orbit"
+            check(self.orbit_count_range == (1, 1), "transitive means exactly one orbit")
 
 
 @dataclass(frozen=True)
@@ -83,9 +85,9 @@ class OrbitProfile:
     orbit_sizes: tuple
 
     def __post_init__(self):
-        assert self.stabilizer_orders[-1] == 1, "free orbit must be last"
-        for size in self.orbit_sizes:
-            assert self.group_order % size == 0, "orbit size must divide the group order"
+        check(self.stabilizer_orders[-1] == 1, "free orbit must be last")
+        check(all(self.group_order % size == 0 for size in self.orbit_sizes),
+              "orbit size must divide the group order")
 
 
 def orbit_profile(group_order, periods):
@@ -115,20 +117,27 @@ class WeightEquationSolutionSet:
     solutions: tuple
 
     def __post_init__(self):
+        # once per solution: the message is formatted only on failure
+        coeffs, target, mul = self.coefficients, self.target, operator.mul
         for v in self.solutions:
-            assert sum(c * w for c, w in zip(self.coefficients, v)) == self.target, (
-                "solution %r fails its own equation" % (v,)
-            )
-        assert list(self.solutions) == sorted(self.solutions), "solutions must be lex sorted"
+            if sum(map(mul, coeffs, v)) != target:
+                raise InvariantError("solution %r fails its own equation" % (v,))
+        check(list(self.solutions) == sorted(self.solutions), "solutions must be lex sorted")
 
 
 def solve_weight_equation(coefficients, target):
     """Exhaustively enumerate nonnegative integer solutions of sum c_j w_j = target.
 
-    Plain bounded depth-first search: coordinate j ranges over
-    0..remaining/c_j.  Enumeration order is lexicographic by
-    construction.  Every solution is re-verified exactly before the set
-    is returned; an empty set is a valid answer.
+    Depth-first search over the first k-2 coordinates, coordinate j
+    ranging over 0..remaining/c_j in increasing order.  The last pair
+    (a, b) with remainder r is solved, not searched: a w + b w' = r has
+    a solution only if d = gcd(a, b) divides r, and then w runs over the
+    single residue class w = (r/d) (a/d)^-1 mod b/d, from its least
+    member up to r/a in steps of b/d, with w' = (r - a w)/b exact.  Every
+    w visited yields a solution, in increasing w, so the output stays
+    lexicographic.  One coefficient is a single division.  Every
+    solution is re-verified exactly before the set is returned; an
+    empty set is a valid answer.
     """
     coeffs = tuple(coefficients)
     if not coeffs or any(c < 1 for c in coeffs):
@@ -136,23 +145,30 @@ def solve_weight_equation(coefficients, target):
     if target < 0:
         raise ValueError("target must be nonnegative")
 
-    solutions = []
-    prefix = [0] * len(coeffs)
+    if len(coeffs) == 1:
+        w, r = divmod(target, coeffs[0])
+        return WeightEquationSolutionSet(coeffs, target, () if r else ((w,),))
 
-    def extend(j, remaining):
-        if j == len(coeffs) - 1:
-            w, r = divmod(remaining, coeffs[j])
-            if r == 0:
-                prefix[j] = w
-                solutions.append(tuple(prefix))
+    solutions = []
+    append = solutions.append
+    last = len(coeffs) - 2
+    a, b = coeffs[last], coeffs[last + 1]
+    d = math.gcd(a, b)
+    step = b // d
+    inverse = pow(a // d, -1, step)  # 0 when step == 1
+
+    def extend(j, prefix, remaining):
+        if j == last:
+            if remaining % d:
+                return
+            for w in range(remaining // d * inverse % step, remaining // a + 1, step):
+                append(prefix + (w, (remaining - a * w) // b))
             return
         c = coeffs[j]
         for w in range(remaining // c + 1):
-            prefix[j] = w
-            extend(j + 1, remaining - c * w)
-        prefix[j] = 0
+            extend(j + 1, prefix + (w,), remaining - c * w)
 
-    extend(0, target)
+    extend(0, (), target)
     return WeightEquationSolutionSet(coeffs, target, tuple(solutions))
 
 
@@ -183,7 +199,9 @@ def classify(sol_set, zero_indices=(), profile=None):
     for i in mask:
         if not 0 <= i < len(sol_set.coefficients):
             raise ValueError("mask index %d out of range" % i)
-    survivors = [v for v in sol_set.solutions if all(v[i] == 0 for i in mask)]
+    survivors = sol_set.solutions
+    for i in mask:
+        survivors = [v for v in survivors if not v[i]]
     if not survivors:
         raise ValueError("inconsistent constraints: no solutions survive the mask")
 
@@ -194,20 +212,20 @@ def classify(sol_set, zero_indices=(), profile=None):
             % (",w".join(str(i + 1) for i in mask), len(survivors), len(sol_set.solutions))
         )
 
-    supports = [tuple(j for j, w in enumerate(v) if w != 0) for v in survivors]
-    counts = [len(s) for s in supports]
-    guaranteed = tuple(
-        j for j in range(len(sol_set.coefficients))
-        if all(v[j] != 0 for v in survivors)
-    )
+    n = len(sol_set.coefficients)
+    counts = [n - v.count(0) for v in survivors]
+    lo, hi = min(counts), max(counts)
+    guaranteed = tuple(j for j in range(n) if all(map(operator.itemgetter(j), survivors)))
     for j in guaranteed:
         reasons.append(
             "coordinate w%d is nonzero in every surviving solution: "
             "that orbit is certainly made of Weierstrass points" % (j + 1)
         )
 
-    if min(counts) == 1 and max(counts) == 1 and len({s[0] for s in supports}) == 1:
-        j = supports[0][0]
+    # a support of size at most 1 everywhere, inside one guaranteed
+    # coordinate: every survivor is supported on exactly that coordinate
+    if hi == 1 and len(guaranteed) == 1:
+        j = guaranteed[0]
         weights = sorted({v[j] for v in survivors})
         if profile is not None and profile.stabilizer_orders[j] == 1:
             reasons.append(
@@ -228,23 +246,18 @@ def classify(sol_set, zero_indices=(), profile=None):
         return TransitivityVerdict(
             TransitivityStatus.UNDECIDED, (1, 1), tuple(reasons), guaranteed
         )
-    if min(counts) >= 2:
+    if lo >= 2:
         reasons.append(
-            "every surviving solution involves at least %d orbits: not transitive"
-            % min(counts)
+            "every surviving solution involves at least %d orbits: not transitive" % lo
         )
         return TransitivityVerdict(
-            TransitivityStatus.NOT_TRANSITIVE,
-            (min(counts), max(counts)),
-            tuple(reasons),
-            guaranteed,
+            TransitivityStatus.NOT_TRANSITIVE, (lo, hi), tuple(reasons), guaranteed
         )
     reasons.append(
-        "surviving solutions allow between %d and %d orbits: undecided"
-        % (min(counts), max(counts))
+        "surviving solutions allow between %d and %d orbits: undecided" % (lo, hi)
     )
     return TransitivityVerdict(
-        TransitivityStatus.UNDECIDED, (min(counts), max(counts)), tuple(reasons), guaranteed
+        TransitivityStatus.UNDECIDED, (lo, hi), tuple(reasons), guaranteed
     )
 
 

@@ -95,6 +95,9 @@ class FiniteField:
         return self._inv[x]
 
     def pow(self, x, k):
+        """x^k; x^(-k) is inv(x)^k, so pow(0, -k) raises like inv(0)."""
+        if k < 0:
+            x, k = self.inv(x), -k
         result, base = 1, x
         while k:
             if k & 1:

@@ -10,6 +10,8 @@ import itertools
 import math
 from fractions import Fraction
 
+from wptrans.orbitweights import TransitivityStatus, TransitivityVerdict
+
 
 def brute_weight_solutions(coefficients, target):
     """All nonnegative integer vectors w with sum(c_j * w_j) == target.
@@ -37,6 +39,83 @@ def oracle_cost(coefficients, target):
     for c in coefficients:
         cost *= target // c + 1
     return cost
+
+
+def brute_classify(sol_set, zero_indices=(), profile=None):
+    """The library's earlier classify, kept as written: it filters a copy
+    of the solutions, builds every survivor's support tuple, and tests a
+    single orbit by comparing supports one by one.  Only the verdict
+    types are shared with the library.
+    """
+    if not sol_set.solutions:
+        raise ValueError("cannot classify an empty solution set")
+    mask = tuple(sorted(set(zero_indices)))
+    for i in mask:
+        if not 0 <= i < len(sol_set.coefficients):
+            raise ValueError("mask index %d out of range" % i)
+    survivors = [v for v in sol_set.solutions if all(v[i] == 0 for i in mask)]
+    if not survivors:
+        raise ValueError("inconsistent constraints: no solutions survive the mask")
+
+    reasons = []
+    if mask:
+        reasons.append(
+            "mask forces w%s = 0; %d of %d solutions survive"
+            % (",w".join(str(i + 1) for i in mask), len(survivors), len(sol_set.solutions))
+        )
+
+    supports = [tuple(j for j, w in enumerate(v) if w != 0) for v in survivors]
+    counts = [len(s) for s in supports]
+    guaranteed = tuple(
+        j for j in range(len(sol_set.coefficients))
+        if all(v[j] != 0 for v in survivors)
+    )
+    for j in guaranteed:
+        reasons.append(
+            "coordinate w%d is nonzero in every surviving solution: "
+            "that orbit is certainly made of Weierstrass points" % (j + 1)
+        )
+
+    if min(counts) == 1 and max(counts) == 1 and len({s[0] for s in supports}) == 1:
+        j = supports[0][0]
+        weights = sorted({v[j] for v in survivors})
+        if profile is not None and profile.stabilizer_orders[j] == 1:
+            reasons.append(
+                "the single surviving orbit is the free orbit (trivial stabilizer)"
+            )
+        if len(weights) == 1:
+            reasons.append(
+                "unique solution concentrates all weight on orbit %d with weight %d: "
+                "the action is transitive on the Weierstrass points" % (j + 1, weights[0])
+            )
+            return TransitivityVerdict(
+                TransitivityStatus.TRANSITIVE, (1, 1), tuple(reasons), guaranteed
+            )
+        reasons.append(
+            "one orbit in every scenario but its weight is not determined "
+            "(candidates %s)" % (weights,)
+        )
+        return TransitivityVerdict(
+            TransitivityStatus.UNDECIDED, (1, 1), tuple(reasons), guaranteed
+        )
+    if min(counts) >= 2:
+        reasons.append(
+            "every surviving solution involves at least %d orbits: not transitive"
+            % min(counts)
+        )
+        return TransitivityVerdict(
+            TransitivityStatus.NOT_TRANSITIVE,
+            (min(counts), max(counts)),
+            tuple(reasons),
+            guaranteed,
+        )
+    reasons.append(
+        "surviving solutions allow between %d and %d orbits: undecided"
+        % (min(counts), max(counts))
+    )
+    return TransitivityVerdict(
+        TransitivityStatus.UNDECIDED, (min(counts), max(counts)), tuple(reasons), guaranteed
+    )
 
 
 def brute_cyclic_fixed_points(n, periods, d):

@@ -1,12 +1,18 @@
 """The weight equation: profiles, solver, classification, necessary weight."""
 
 import itertools
+import os
+import subprocess
+import sys
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wptrans
 from wptrans.orbitweights import (
     TransitivityStatus,
+    WeightEquationSolutionSet,
     classify,
     hurwitz_divisibility,
     necessary_weight,
@@ -14,8 +20,9 @@ from wptrans.orbitweights import (
     simple_point_analysis,
     solve_weight_equation,
 )
+from wptrans.surfacecore import InvariantError
 
-from oracles import brute_weight_solutions
+from oracles import brute_classify, brute_weight_solutions, oracle_cost
 
 
 KLEIN = ([24, 56, 84, 168], 24)
@@ -55,14 +62,106 @@ def test_solver_rejects_bad_input():
         solve_weight_equation([2], -1)
 
 
+ORACLE_BUDGET = 20_000
+
+
+def _max_target(coefficients, budget):
+    # largest target (up to 400) whose oracle product stays within budget
+    target = 0
+    while target < 400 and oracle_cost(coefficients, target + 1) <= budget:
+        target += 1
+    return target
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=3),
-    st.integers(min_value=0, max_value=400),
+    st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=5),
+    st.data(),
 )
-def test_solver_matches_nested_loop_oracle(coefficients, target):
+def test_solver_matches_nested_loop_oracle(coefficients, data):
+    # widths up to 5 put up to three levels of search above the solved pair
+    target = data.draw(st.integers(0, _max_target(coefficients, ORACLE_BUDGET)))
     sol = solve_weight_equation(coefficients, target)
     assert list(sol.solutions) == brute_weight_solutions(coefficients, target)
+
+
+@pytest.mark.parametrize("coefficients, target", [
+    ([3, 4, 6], 13),    # gcd(4, 6) = 2 misses every odd remainder
+    ([5, 4, 2], 12),    # last pair with b/d = 1: w runs over every value
+    ([6, 10, 15], 0),   # target 0: only the zero vector
+    ([4, 6], 0),
+    ([7], 0),
+    ([7], 21),          # width 1: a single division
+    ([7], 22),
+    ([4, 6], 26),       # width 2: the pair alone, empty prefix
+    ([4, 6], 27),
+    ([1, 1], 9),
+    ([2, 3, 5, 7, 11], 40),
+])
+def test_solver_edge_cases_match_oracle(coefficients, target):
+    sol = solve_weight_equation(coefficients, target)
+    assert list(sol.solutions) == brute_weight_solutions(coefficients, target)
+
+
+def test_solution_set_rejects_false_solutions():
+    with pytest.raises(InvariantError, match=r"solution \(1, 1\) fails its own equation"):
+        WeightEquationSolutionSet((3, 5), 22, ((4, 2), (1, 1)))
+    with pytest.raises(InvariantError, match="lex sorted"):
+        WeightEquationSolutionSet((1, 1), 2, ((2, 0), (1, 1)))
+
+
+def test_solution_set_check_survives_optimize():
+    # python -O strips bare asserts; the self-check must still raise
+    code = ("from wptrans.orbitweights import WeightEquationSolutionSet as S\n"
+            "from wptrans.surfacecore import InvariantError\n"
+            "try:\n"
+            "    S((3, 5), 22, ((4, 2), (1, 1)))\n"
+            "except InvariantError as exc:\n"
+            "    print('raised:', exc)\n")
+    src = os.path.dirname(os.path.dirname(wptrans.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "raised: solution (1, 1) fails its own equation\n"
+
+
+def _outcome(classifier, sol_set, mask, profile):
+    try:
+        verdict = classifier(sol_set, zero_indices=mask, profile=profile)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return (verdict.status, verdict.orbit_count_range, verdict.reasons,
+            verdict.guaranteed_orbits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=4),
+    st.data(),
+)
+def test_classify_matches_brute_oracle(coefficients, data):
+    # random solution sets: all solutions, or a random subset of them
+    # (still a valid set, possibly empty); every mask subset, plus one
+    # index out of range; with or without a profile
+    target = data.draw(st.integers(0, _max_target(coefficients, ORACLE_BUDGET)))
+    full = solve_weight_equation(coefficients, target)
+    if data.draw(st.booleans()):
+        rng = data.draw(st.randoms(use_true_random=False))
+        keep = tuple(v for v in full.solutions if rng.random() < 0.5)
+        sol_set = WeightEquationSolutionSet(full.coefficients, target, keep)
+    else:
+        sol_set = full
+    n = len(coefficients)
+    profile = None
+    if data.draw(st.booleans()):
+        # classify reads only stabilizer_orders, to flag the free orbit
+        stabs = data.draw(st.lists(st.sampled_from((1, 2, 3)), min_size=n, max_size=n))
+        profile = types.SimpleNamespace(stabilizer_orders=tuple(stabs))
+    masks = [m for r in range(n + 1) for m in itertools.combinations(range(n), r)]
+    for mask in masks + [(n,)]:
+        assert (_outcome(classify, sol_set, mask, profile)
+                == _outcome(brute_classify, sol_set, mask, profile)), mask
 
 
 def test_classify_transitive_case():

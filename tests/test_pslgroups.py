@@ -134,6 +134,17 @@ def test_field_pow():
     assert f.pow(5, 0) == 1
 
 
+def test_field_pow_negative_exponent():
+    # x^(-k) = inv(x)^k; the old square-and-multiply loop never ended for k < 0
+    f = field_build(3, 2)
+    for x in range(1, f.q):
+        for k in range(1, 5):
+            assert f.pow(x, -k) == f.pow(f.inv(x), k)
+        assert f.mul(x, f.pow(x, -1)) == 1
+    with pytest.raises(ZeroDivisionError):
+        f.pow(0, -1)
+
+
 def test_psl2_order():
     assert psl2_order(2) == 6
     assert psl2_order(3) == 12

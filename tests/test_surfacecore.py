@@ -146,10 +146,11 @@ def test_weight_distribution_budget():
         WeightDistribution(3, (("negative", 4, -1),), complete=False)
 
 
-# modules whose invariants are all `check` calls; orbitweights and fermat
-# still use bare asserts in their per-point and per-solution loops
+# modules whose invariants are all `check` calls (or an inline raise of
+# InvariantError where a check runs once per solution); fermat still uses
+# bare asserts in its per-point loops
 CHECKED_MODULES = ("cli", "surfacecore", "pslgroups", "report", "fixedpoints",
-                   "bielliptic", "platonic")
+                   "bielliptic", "platonic", "orbitweights")
 
 
 @pytest.mark.parametrize("module", CHECKED_MODULES)
