@@ -20,7 +20,6 @@ from .bielliptic import (
 )
 from .fermat import (
     AccountingReport,
-    FermatAutomorphism,
     FermatPoint,
     PointClass,
     automorphism_group_order,

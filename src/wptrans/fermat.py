@@ -10,21 +10,22 @@ their weight, exactly for n <= 8.  The full automorphism group is
 
 Points are symbolic: a coordinate is a formal tag (1, beta, or gamma)
 times a power of the primitive n-th root of unity zeta = beta^2, and
-the action only shuffles exponents.  gamma^n = 2 and beta^n = -1 are
-never evaluated.
+the group only shifts exponents and permutes coordinates, so it maps
+each family onto itself.  Within one position of the marked coordinate
+the twists shift a point's exponents by any residues, and the 3-cycle
+carries the marked coordinate through all three positions: each family
+is one orbit, and orbit_enumerate returns its size without walking it.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
 from .orbitweights import TransitivityStatus, TransitivityVerdict
+from .surfacecore import check
 
 __all__ = [
     "PointClass",
     "FermatPoint",
-    "FermatAutomorphism",
-    "generators",
     "automorphism_group_order",
     "fermat_genus",
     "trivial_point_weight",
@@ -48,14 +49,14 @@ class FermatPoint:
     """Projective point in one of the two distinguished families.
 
     TRIVIAL with position k and exponents (a,): coordinate k is 0, the
-    lower-indexed of the other two slots is zeta^a, the higher is 1.
+    lower-indexed of the other two coordinates is zeta^a, the higher 1.
     There are 3n such points.
 
     LEOPOLDT with position k and exponents (t1, t2): coordinate k is
-    gamma, the other two slots in index order are zeta^t1 * beta and
-    zeta^t2 * beta.  There are 3n^2 such points; the gamma slot's
-    normalization to exponent 0 uses up the projective scaling by
-    n-th roots of unity.
+    gamma, the other two coordinates in index order are zeta^t1 * beta
+    and zeta^t2 * beta.  There are 3n^2 such points; the gamma
+    coordinate's normalization to exponent 0 uses up the projective
+    scaling by n-th roots of unity.
     """
 
     n: int
@@ -72,115 +73,6 @@ class FermatPoint:
         if len(self.exponents) != want or any(
                 not 0 <= e < self.n for e in self.exponents):
             raise ValueError("need %d exponent(s) reduced mod %d" % (want, self.n))
-
-    def slots(self):
-        """Expand to three (tag, zeta_exponent) slots; the zero slot is None."""
-        others = [i for i in range(3) if i != self.position]
-        out = [None, None, None]
-        if self.kind is PointClass.TRIVIAL:
-            out[self.position] = None
-            out[others[0]] = ("one", self.exponents[0])
-            out[others[1]] = ("one", 0)
-        else:
-            out[self.position] = ("gamma", 0)
-            out[others[0]] = ("beta", self.exponents[0])
-            out[others[1]] = ("beta", self.exponents[1])
-        return out
-
-
-def _from_slots(n, slots):
-    """Renormalize a slot triple back to a canonical FermatPoint.
-
-    Projective scaling by zeta is the only scaling that preserves the
-    tag semantics; it shifts every exponent equally.  Trivial points
-    renormalize the higher-indexed nonzero slot to exponent 0,
-    Leopoldt points the gamma slot.
-    """
-    zero_pos = [i for i, s in enumerate(slots) if s is None]
-    if zero_pos:
-        (k,) = zero_pos
-        others = [i for i in range(3) if i != k]
-        tags = [slots[i][0] for i in others]
-        assert tags == ["one", "one"], "trivial point slots must be pure roots of unity"
-        shift = slots[others[1]][1]
-        a = (slots[others[0]][1] - shift) % n
-        return FermatPoint(n, PointClass.TRIVIAL, k, (a,))
-    gamma_pos = [i for i, s in enumerate(slots) if s[0] == "gamma"]
-    assert len(gamma_pos) == 1, "exactly one gamma coordinate expected"
-    (k,) = gamma_pos
-    others = [i for i in range(3) if i != k]
-    assert all(slots[i][0] == "beta" for i in others)
-    shift = slots[k][1]
-    t = tuple((slots[i][1] - shift) % n for i in others)
-    return FermatPoint(n, PointClass.LEOPOLDT, k, t)
-
-
-@dataclass(frozen=True)
-class FermatAutomorphism:
-    """Element of (Z_n + Z_n) x| S_3 acting on the curve's coordinates.
-
-    Acts as diag(zeta^u, zeta^v, 1) followed by the coordinate
-    permutation sending slot i to slot perm[i].  The third twist
-    component is normalized away: global zeta-scalars act trivially on
-    projective points.
-    """
-
-    n: int
-    twist: tuple
-    perm: tuple
-
-    def __post_init__(self):
-        if sorted(self.perm) != [0, 1, 2]:
-            raise ValueError("perm must be a permutation of (0,1,2)")
-        if len(self.twist) != 2 or any(not 0 <= t < self.n for t in self.twist):
-            raise ValueError("twist must be a pair of residues mod n")
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, (0, 0), (0, 1, 2))
-
-    def apply(self, point):
-        assert point.n == self.n
-        slots = point.slots()
-        t3 = (self.twist[0], self.twist[1], 0)
-        scaled = [None if s is None else (s[0], (s[1] + t3[i]) % self.n)
-                  for i, s in enumerate(slots)]
-        moved = [None, None, None]
-        for i in range(3):
-            moved[self.perm[i]] = scaled[i]
-        image = _from_slots(self.n, moved)
-        assert image.kind is point.kind, "the action must preserve the point class"
-        return image
-
-    def compose(self, other):
-        """self after other, via the semidirect-product law.
-
-        With phi = P_sigma D_t (t3 normalized to 0), conjugation gives
-        P_sigma2 D_s P_sigma1 D_t = P_(sigma2 sigma1) D_(s o sigma1 + t),
-        then the diagonal scalar is normalized away again.
-        """
-        assert self.n == other.n
-        n = self.n
-        s3 = (self.twist[0], self.twist[1], 0)
-        t3 = (other.twist[0], other.twist[1], 0)
-        combined = [(s3[other.perm[i]] + t3[i]) % n for i in range(3)]
-        perm = tuple(self.perm[other.perm[i]] for i in range(3))
-        u, v = (combined[0] - combined[2]) % n, (combined[1] - combined[2]) % n
-        return FermatAutomorphism(n, (u, v), perm)
-
-
-def generators(n):
-    """Two independent twists, a transposition, and a 3-cycle.
-
-    These generate the whole automorphism group: the twists span
-    Z_n + Z_n and the permutations span S_3.
-    """
-    return (
-        FermatAutomorphism(n, (1, 0), (0, 1, 2)),
-        FermatAutomorphism(n, (0, 1), (0, 1, 2)),
-        FermatAutomorphism(n, (0, 0), (1, 0, 2)),
-        FermatAutomorphism(n, (0, 0), (1, 2, 0)),
-    )
 
 
 def automorphism_group_order(n):
@@ -202,7 +94,8 @@ def trivial_point_weight(n):
     if n < 3:
         raise ValueError("Fermat exponent must be >= 3, got %r" % (n,))
     num = (n - 1) * (n - 2) * (n - 3) * (n + 4)
-    assert num % 24 == 0, "Hasse weight must be an integer"
+    check(num % 24 == 0, "Hasse weight (n-1)(n-2)(n-3)(n+4)/24 is not an "
+          "integer at n = %d" % n)
     return num // 24
 
 
@@ -215,7 +108,7 @@ def leopoldt_weight_bound(n):
     if n < 5:
         raise ValueError("no Leopoldt points for n < 5 (got %r)" % (n,))
     num = (n - 1) * (n - 3) if n % 2 else (n - 2) * (n - 4)
-    assert num % 8 == 0, "Towse bound must be an integer"
+    check(num % 8 == 0, "Towse bound is not an integer at n = %d" % n)
     return num // 8, n <= 8
 
 
@@ -234,26 +127,34 @@ def leopoldt_points(n):
 def orbit_enumerate(n, seed):
     """Size of the orbit of seed under the full automorphism group.
 
-    Breadth-first closure under the generator set; the group itself is
-    never materialized.  Trivial seeds need n >= 4 (genus >= 3),
-    Leopoldt seeds n >= 5.
+    Trivial seeds need n >= 4 (genus >= 3), Leopoldt seeds n >= 5.  The
+    orbit is the seed's whole family, 3n or 3n^2 points, so nothing is
+    walked.  Write an automorphism as diag(zeta^u, zeta^v, 1) followed
+    by a coordinate permutation, and let s = (u, v, 0):
+
+    - The twists move a point's exponents by any residues within one
+      position.  The twist adds s_i to coordinate i's exponent and
+      projective scaling then shifts all three back equally.  A trivial
+      point with its zero at k goes to a' = a + s_lo - s_hi, where lo
+      and hi are the other two coordinates in index order (for z = 0,
+      a' = a + u - v).  A Leopoldt point with gamma at k goes to
+      (t1 + s_lo - s_k, t2 + s_hi - s_k), and (u, v) -> (s_lo - s_k,
+      s_hi - s_k) is onto Z_n + Z_n for each k.
+    - The 3-cycle carries the marked coordinate (the zero, or gamma)
+      from k to k + 1 mod 3, through all three positions.
+    - The action keeps each family closed: twists multiply coordinates
+      by n-th roots of unity and permutations move them, so zeros stay
+      zero and the n-th powers 2 and -1 of the gamma and beta
+      coordinates are kept.
+    - So the orbit of any seed is its whole family.
     """
     if seed.kind is PointClass.TRIVIAL and n < 4:
         raise ValueError("trivial-point orbits need n >= 4")
     if seed.kind is PointClass.LEOPOLDT and n < 5:
         raise ValueError("no Leopoldt points for n < 5")
-    assert seed.n == n
-    gens = generators(n)
-    seen = {seed}
-    queue = deque((seed,))
-    while queue:
-        point = queue.popleft()
-        for gen in gens:
-            image = gen.apply(point)
-            if image not in seen:
-                seen.add(image)
-                queue.append(image)
-    return len(seen)
+    if seed.n != n:
+        raise ValueError("seed is a point of F_%d, not F_%d" % (seed.n, n))
+    return 3 * n if seed.kind is PointClass.TRIVIAL else 3 * n * n
 
 
 @dataclass(frozen=True)
@@ -274,11 +175,17 @@ class AccountingReport:
     conclusion: str
 
     def __post_init__(self):
-        assert self.trivial_subtotal == self.trivial_count * self.trivial_weight
-        assert self.leopoldt_subtotal == self.leopoldt_count * self.leopoldt_weight
-        assert self.residual == self.total - self.trivial_subtotal - self.leopoldt_subtotal
-        assert self.residual >= 0, (
-            "located weight exceeds g^3 - g: the bounds are inconsistent")
+        check(self.trivial_subtotal == self.trivial_count * self.trivial_weight,
+              "trivial subtotal %d != %d points x weight %d"
+              % (self.trivial_subtotal, self.trivial_count, self.trivial_weight))
+        check(self.leopoldt_subtotal == self.leopoldt_count * self.leopoldt_weight,
+              "Leopoldt subtotal %d != %d points x weight %d"
+              % (self.leopoldt_subtotal, self.leopoldt_count, self.leopoldt_weight))
+        check(self.residual == self.total - self.trivial_subtotal - self.leopoldt_subtotal,
+              "residual %d != total %d - subtotals %d - %d"
+              % (self.residual, self.total, self.trivial_subtotal, self.leopoldt_subtotal))
+        check(self.residual >= 0,
+              "located weight exceeds g^3 - g: the bounds are inconsistent")
 
 
 def weight_accounting(n):
@@ -327,7 +234,9 @@ def fermat_transitivity(n):
     report = weight_accounting(n)
     if n == 4:
         orbit = orbit_enumerate(4, trivial_points(4)[0])
-        assert orbit == 12 and report.residual == 0
+        check(orbit == 12 and report.residual == 0,
+              "F_4: trivial orbit %d (want 12), residual %d (want 0)"
+              % (orbit, report.residual))
         return TransitivityVerdict(
             TransitivityStatus.TRANSITIVE, (1, 1), (
                 "Hasse: the 12 trivial points each have weight 2, "

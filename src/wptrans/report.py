@@ -301,15 +301,18 @@ def _orbit_weights(order, periods, target, mask=()):
     profile = orbitweights.orbit_profile(order, periods)
     sols = orbitweights.solve_weight_equation(profile.orbit_sizes, target)
     verdict = orbitweights.classify(sols, zero_indices=mask, profile=profile)
-    survivors = [list(v) for v in sols.solutions if all(v[i] == 0 for i in mask)]
+    solutions = [list(v) for v in sols.solutions]
+    survivors = sols.solutions
+    for i in mask:
+        survivors = [v for v in survivors if not v[i]]
     return {
         "group_order": order,
         "periods": list(periods),
         "orbit_sizes": list(profile.orbit_sizes),
         "target": target,
-        "solutions": [list(v) for v in sols.solutions],
+        "solutions": solutions,
         "mask": [i + 1 for i in mask],
-        "surviving_solutions": survivors,
+        "surviving_solutions": [list(v) for v in survivors] if mask else solutions,
         "verdict": _verdict_dict(verdict),
     }
 

@@ -8,8 +8,10 @@ signal; neither side should be able to inherit a bug from the other.
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
+from wptrans.fermat import FermatPoint, PointClass
 from wptrans.orbitweights import TransitivityStatus, TransitivityVerdict
 
 
@@ -345,6 +347,117 @@ def brute_projective_census(p, n):
         for d in range(q):
             visit(zero, b, c, d)
     return counts
+
+
+def point_slots(point):
+    """Expand a FermatPoint to three (tag, zeta_exponent) slots; the zero slot is None."""
+    others = [i for i in range(3) if i != point.position]
+    out = [None, None, None]
+    if point.kind is PointClass.TRIVIAL:
+        out[point.position] = None
+        out[others[0]] = ("one", point.exponents[0])
+        out[others[1]] = ("one", 0)
+    else:
+        out[point.position] = ("gamma", 0)
+        out[others[0]] = ("beta", point.exponents[0])
+        out[others[1]] = ("beta", point.exponents[1])
+    return out
+
+
+def _from_slots(n, slots):
+    """Renormalize a slot triple back to a canonical FermatPoint.
+
+    Projective scaling by zeta is the only scaling that preserves the
+    tag semantics; it shifts every exponent equally.  Trivial points
+    renormalize the higher-indexed nonzero slot to exponent 0,
+    Leopoldt points the gamma slot.
+    """
+    zero_pos = [i for i, s in enumerate(slots) if s is None]
+    if zero_pos:
+        (k,) = zero_pos
+        others = [i for i in range(3) if i != k]
+        tags = [slots[i][0] for i in others]
+        assert tags == ["one", "one"], "trivial point slots must be pure roots of unity"
+        shift = slots[others[1]][1]
+        a = (slots[others[0]][1] - shift) % n
+        return FermatPoint(n, PointClass.TRIVIAL, k, (a,))
+    gamma_pos = [i for i, s in enumerate(slots) if s[0] == "gamma"]
+    assert len(gamma_pos) == 1, "exactly one gamma coordinate expected"
+    (k,) = gamma_pos
+    others = [i for i in range(3) if i != k]
+    assert all(slots[i][0] == "beta" for i in others)
+    shift = slots[k][1]
+    t = tuple((slots[i][1] - shift) % n for i in others)
+    return FermatPoint(n, PointClass.LEOPOLDT, k, t)
+
+
+@dataclass(frozen=True)
+class FermatAutomorphism:
+    """Element of (Z_n + Z_n) x| S_3 acting on the Fermat curve's coordinates.
+
+    Acts as diag(zeta^u, zeta^v, 1) followed by the coordinate
+    permutation sending slot i to slot perm[i].  The third twist
+    component is normalized away: global zeta-scalars act trivially on
+    projective points.  This explicit action is the reference that
+    fermat.orbit_enumerate's orbit-size lemma is checked against.
+    """
+
+    n: int
+    twist: tuple
+    perm: tuple
+
+    def __post_init__(self):
+        if sorted(self.perm) != [0, 1, 2]:
+            raise ValueError("perm must be a permutation of (0,1,2)")
+        if len(self.twist) != 2 or any(not 0 <= t < self.n for t in self.twist):
+            raise ValueError("twist must be a pair of residues mod n")
+
+    @classmethod
+    def identity(cls, n):
+        return cls(n, (0, 0), (0, 1, 2))
+
+    def apply(self, point):
+        assert point.n == self.n
+        slots = point_slots(point)
+        t3 = (self.twist[0], self.twist[1], 0)
+        scaled = [None if s is None else (s[0], (s[1] + t3[i]) % self.n)
+                  for i, s in enumerate(slots)]
+        moved = [None, None, None]
+        for i in range(3):
+            moved[self.perm[i]] = scaled[i]
+        image = _from_slots(self.n, moved)
+        assert image.kind is point.kind, "the action must preserve the point class"
+        return image
+
+    def compose(self, other):
+        """self after other, via the semidirect-product law.
+
+        With phi = P_sigma D_t (t3 normalized to 0), conjugation gives
+        P_sigma2 D_s P_sigma1 D_t = P_(sigma2 sigma1) D_(s o sigma1 + t),
+        then the diagonal scalar is normalized away again.
+        """
+        assert self.n == other.n
+        n = self.n
+        s3 = (self.twist[0], self.twist[1], 0)
+        t3 = (other.twist[0], other.twist[1], 0)
+        combined = [(s3[other.perm[i]] + t3[i]) % n for i in range(3)]
+        perm = tuple(self.perm[other.perm[i]] for i in range(3))
+        u, v = (combined[0] - combined[2]) % n, (combined[1] - combined[2]) % n
+        return FermatAutomorphism(n, (u, v), perm)
+
+
+def generators(n):
+    """Two independent twists, a transposition, and a 3-cycle.
+
+    These generate the whole automorphism group: the twists span
+    Z_n + Z_n and the permutations span S_3.
+    """
+    return (
+        FermatAutomorphism(n, (1, 0), (0, 1, 2)),
+        FermatAutomorphism(n, (0, 1), (0, 1, 2)),
+        FermatAutomorphism(n, (0, 0), (1, 0, 2)),
+        FermatAutomorphism(n, (0, 0), (1, 2, 0)),
+    )
 
 
 def brute_orbit_closure(seed, generators, apply_fn):

@@ -1,17 +1,19 @@
 """Fermat curves: point families, automorphism action, weight ledger."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
+import wptrans
 from wptrans.fermat import (
-    FermatAutomorphism,
     FermatPoint,
     PointClass,
     automorphism_group_order,
     fermat_genus,
     fermat_transitivity,
-    generators,
     leopoldt_points,
     leopoldt_weight_bound,
     orbit_enumerate,
@@ -20,8 +22,9 @@ from wptrans.fermat import (
     weight_accounting,
 )
 from wptrans.orbitweights import TransitivityStatus
+from wptrans.report import CommandRequest, run
 
-from oracles import brute_orbit_closure
+from oracles import FermatAutomorphism, brute_orbit_closure, generators
 
 
 def test_fermat_genus():
@@ -150,9 +153,30 @@ def test_orbit_sizes_match_independent_closure():
     assert orbit_enumerate(5, seed) == len(expected) == 75
 
 
+@pytest.mark.parametrize("n", range(4, 21))
+def test_orbit_sizes_are_whole_families(n):
+    # the lemma in orbit_enumerate's docstring, against the explicit action
+    sizes = {"trivial": 3 * n, "leopoldt": 3 * n * n}
+    families = {"trivial": trivial_points(n)}
+    if n >= 5:
+        families["leopoldt"] = leopoldt_points(n)
+    closure_sizes = {}
+    for kind, points in families.items():
+        seed = points[len(points) // 2]
+        closure = brute_orbit_closure(seed, generators(n), lambda g, p: g.apply(p))
+        assert closure == set(points)
+        closure_sizes[kind] = len(closure)
+        assert {orbit_enumerate(n, s) for s in points} == {len(closure)} == {sizes[kind]}
+    assert run(CommandRequest("fermat", {"n": n})).body["orbit_sizes"] == closure_sizes
+
+
 def test_orbit_enumerate_guards():
     with pytest.raises(ValueError):
         orbit_enumerate(3, FermatPoint(3, PointClass.TRIVIAL, 0, (0,)))
+    with pytest.raises(ValueError, match="F_5, not F_6"):
+        orbit_enumerate(6, FermatPoint(5, PointClass.TRIVIAL, 0, (0,)))
+    with pytest.raises(ValueError, match="F_5, not F_7"):
+        orbit_enumerate(7, FermatPoint(5, PointClass.LEOPOLDT, 0, (0, 0)))
 
 
 def test_automorphism_group_order_guard():
@@ -184,6 +208,23 @@ def test_weight_accounting_frozen_rows():
 def test_residual_stays_nonnegative():
     for n in range(4, 40):
         assert weight_accounting(n).residual >= 0
+
+
+def test_accounting_checks_survive_optimize():
+    # python -O strips bare asserts; an inconsistent ledger must still raise
+    code = ("import dataclasses\n"
+            "from wptrans.fermat import weight_accounting\n"
+            "from wptrans.surfacecore import InvariantError\n"
+            "try:\n"
+            "    dataclasses.replace(weight_accounting(6), residual=431)\n"
+            "except InvariantError as exc:\n"
+            "    print('raised:', exc)\n")
+    src = os.path.dirname(os.path.dirname(wptrans.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "raised: residual 431 != total 990 - subtotals 450 - 108\n"
 
 
 def test_transitivity_only_at_4():

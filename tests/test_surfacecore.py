@@ -1,6 +1,7 @@
 """Weight budget, signatures, and the map validator."""
 
 import ast
+import glob
 import os
 
 import pytest
@@ -146,16 +147,15 @@ def test_weight_distribution_budget():
         WeightDistribution(3, (("negative", 4, -1),), complete=False)
 
 
-# modules whose invariants are all `check` calls (or an inline raise of
-# InvariantError where a check runs once per solution); fermat still uses
-# bare asserts in its per-point loops
-CHECKED_MODULES = ("cli", "surfacecore", "pslgroups", "report", "fixedpoints",
-                   "bielliptic", "platonic", "orbitweights")
+# every module of the package: invariants are `check` calls (or an inline
+# raise of InvariantError where a check runs once per solution)
+MODULES = sorted(os.path.basename(path)[:-3] for path in glob.glob(
+    os.path.join(os.path.dirname(wptrans.__file__), "*.py")))
 
 
-@pytest.mark.parametrize("module", CHECKED_MODULES)
+@pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_bare_assert(module):
-    # python -O strips assert statements; these modules must not rely on any
+    # python -O strips assert statements; no module may rely on any
     path = os.path.join(os.path.dirname(wptrans.__file__), module + ".py")
     with open(path) as handle:
         tree = ast.parse(handle.read(), path)
