@@ -67,6 +67,8 @@ class FermatPoint:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("Fermat exponent n must be >= 3, got %r" % (self.n,))
+        if self.kind is PointClass.LEOPOLDT:
+            _leopoldt_guard(self.n)
         if self.position not in (0, 1, 2):
             raise ValueError("position must index one of 3 coordinates")
         want = 1 if self.kind is PointClass.TRIVIAL else 2
@@ -117,9 +119,13 @@ def trivial_points(n):
             for k in range(3) for a in range(n)]
 
 
-def leopoldt_points(n):
+def _leopoldt_guard(n):
     if n < 5:
         raise ValueError("no Leopoldt points for n < 5 (got %r)" % (n,))
+
+
+def leopoldt_points(n):
+    _leopoldt_guard(n)
     return [FermatPoint(n, PointClass.LEOPOLDT, k, (t1, t2))
             for k in range(3) for t1 in range(n) for t2 in range(n)]
 

@@ -19,6 +19,8 @@ w = |G_p| (g^3 - g) / |G| and the simple-point elimination chain.
 """
 
 import enum
+import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -110,70 +112,151 @@ def orbit_profile(group_order, periods):
 
 @dataclass(frozen=True)
 class WeightEquationSolutionSet:
-    """All nonnegative solutions of sum(c_j w_j) = target, lex sorted."""
+    """The nonnegative solutions of sum(c_j w_j) = target, listed on first read.
+
+    count is computed without listing anything.  solutions is listed,
+    lex sorted, the first time it is read, and checked then: every
+    solution against the equation, the order, and the length against
+    count.
+    """
 
     coefficients: tuple
     target: int
-    solutions: tuple
 
     def __post_init__(self):
+        if not self.coefficients or any(c < 1 for c in self.coefficients):
+            raise ValueError("coefficients must be positive integers")
+        if self.target < 0:
+            raise ValueError("target must be nonnegative")
+
+    @functools.cached_property
+    def count(self):
+        return _count(self.coefficients, self.target)
+
+    @functools.cached_property
+    def solutions(self):
+        solutions = tuple(_solutions(self.coefficients, self.target))
         # once per solution: the message is formatted only on failure
         coeffs, target, mul = self.coefficients, self.target, operator.mul
-        for v in self.solutions:
+        for v in solutions:
             if sum(map(mul, coeffs, v)) != target:
                 raise InvariantError("solution %r fails its own equation" % (v,))
-        check(list(self.solutions) == sorted(self.solutions), "solutions must be lex sorted")
+        check(list(solutions) == sorted(solutions), "solutions must be lex sorted")
+        check(len(solutions) == self.count, "listing and count disagree: %d listed, %d counted"
+              % (len(solutions), self.count))
+        return solutions
 
 
-def solve_weight_equation(coefficients, target):
-    """Exhaustively enumerate nonnegative integer solutions of sum c_j w_j = target.
+def _last_pair(a, b):
+    """The w of every solution of a w + b w' = r, as a range, for each r.
 
-    Depth-first search over the first k-2 coordinates, coordinate j
-    ranging over 0..remaining/c_j in increasing order.  The last pair
-    (a, b) with remainder r is solved, not searched: a w + b w' = r has
-    a solution only if d = gcd(a, b) divides r, and then w runs over the
-    single residue class w = (r/d) (a/d)^-1 mod b/d, from its least
-    member up to r/a in steps of b/d, with w' = (r - a w)/b exact.  Every
-    w visited yields a solution, in increasing w, so the output stays
-    lexicographic.  One coefficient is a single division.  Every
-    solution is re-verified exactly before the set is returned; an
-    empty set is a valid answer.
+    a w + b w' = r has a solution only if d = gcd(a, b) divides r, and
+    then w runs over the single residue class w = (r/d) (a/d)^-1 mod b/d,
+    from its least member up to r/a in steps of b/d, with w' = (r - a w)/b
+    exact.  So every w in the range gives a solution, in increasing w,
+    and the range's length counts them.
     """
-    coeffs = tuple(coefficients)
-    if not coeffs or any(c < 1 for c in coeffs):
-        raise ValueError("coefficients must be positive integers")
-    if target < 0:
-        raise ValueError("target must be nonnegative")
-
-    if len(coeffs) == 1:
-        w, r = divmod(target, coeffs[0])
-        return WeightEquationSolutionSet(coeffs, target, () if r else ((w,),))
-
-    solutions = []
-    append = solutions.append
-    last = len(coeffs) - 2
-    a, b = coeffs[last], coeffs[last + 1]
     d = math.gcd(a, b)
     step = b // d
     inverse = pow(a // d, -1, step)  # 0 when step == 1
+    empty = range(0)
 
-    def extend(j, prefix, remaining):
-        if j == last:
-            if remaining % d:
-                return
-            for w in range(remaining // d * inverse % step, remaining // a + 1, step):
-                append(prefix + (w, (remaining - a * w) // b))
-            return
-        c = coeffs[j]
-        for w in range(remaining // c + 1):
-            extend(j + 1, prefix + (w,), remaining - c * w)
+    def weights(r):
+        return empty if r % d else range(r // d * inverse % step, r // a + 1, step)
 
-    extend(0, (), target)
-    return WeightEquationSolutionSet(coeffs, target, tuple(solutions))
+    return weights
+
+
+def _prefixes(coeffs, remaining, prefix=()):
+    """(prefix, remainder) for every choice of weights on coeffs, lex sorted.
+
+    Coordinate j ranges over 0..remaining/c_j in increasing order.
+    """
+    if not coeffs:
+        yield prefix, remaining
+        return
+    c, inner = coeffs[0], coeffs[1:]
+    for w in range(remaining // c + 1):
+        if inner:  # the last level yields itself: no generator per prefix
+            yield from _prefixes(inner, remaining - c * w, prefix + (w,))
+        else:
+            yield prefix + (w,), remaining - c * w
+
+
+def _short(coeffs, target):
+    """The solutions of an equation with no pair: the empty sum, or one division."""
+    if not coeffs:
+        return [()] if target == 0 else []
+    w, r = divmod(target, coeffs[0])
+    return [] if r else [(w,)]
+
+
+def _solutions(coeffs, target):
+    """Every nonnegative solution, lex sorted: the prefixes of all but the
+    last two coordinates, each completed by the last pair's range."""
+    if len(coeffs) < 2:
+        yield from _short(coeffs, target)
+        return
+    a, b = coeffs[-2:]
+    weights = _last_pair(a, b)
+    for prefix, r in _prefixes(coeffs[:-2], target):
+        for w in weights(r):
+            yield prefix + (w, (r - a * w) // b)
+
+
+def _count(coeffs, target):
+    """Number of nonnegative solutions, none of them listed.
+
+    The count is invariant under reordering the coordinates, so the
+    largest coefficients go outermost, where they have the fewest
+    prefixes, and each prefix adds the length of the last pair's range.
+    """
+    coeffs = sorted(coeffs, reverse=True)
+    if len(coeffs) < 2:
+        return len(_short(coeffs, target))
+    weights = _last_pair(*coeffs[-2:])
+    return sum(len(weights(r)) for _, r in _prefixes(coeffs[:-2], target))
+
+
+def _witness(coeffs, target, support):
+    """A solution nonzero exactly on support (sorted indices), or None.
+
+    w_j = u_j + 1 on the support turns it into the search for one
+    nonnegative solution u of sum_S c_j u_j = target - sum_S c_j, run
+    with the largest coefficients outermost.  The witness found is
+    checked against the original equation.
+    """
+    order = sorted(support, key=coeffs.__getitem__, reverse=True)
+    sub = tuple(coeffs[j] for j in order)
+    rest = target - sum(sub)
+    u = next(_solutions(sub, rest), None) if rest >= 0 else None
+    if u is None:
+        return None
+    v = [0] * len(coeffs)
+    for j, uj in zip(order, u):
+        v[j] = uj + 1
+    # once per support: the message is formatted only on failure
+    if (sum(map(operator.mul, coeffs, v)) != target
+            or tuple(j for j, w in enumerate(v) if w) != support):
+        raise InvariantError("witness %r for support %r fails the equation" % (v, support))
+    return tuple(v)
+
+
+def solve_weight_equation(coefficients, target):
+    """The nonnegative integer solutions of sum c_j w_j = target.
+
+    Builds the solution set, which validates the equation; nothing is
+    enumerated here.  The set's count sums closed-form last-pair counts
+    (see _count).  Its solutions are listed on first read, lex sorted, by
+    a search that solves the last pair instead of searching it, so it
+    visits only solutions (see _solutions), and the listing is
+    re-verified exactly then.  An empty set is a valid answer.
+    """
+    return WeightEquationSolutionSet(tuple(coefficients), target)
 
 
 def classify(sol_set, zero_indices=(), profile=None):
-    """Transitivity verdict from a weight-equation solution set.
+    """Transitivity verdict from a weight equation's solution set.
 
     zero_indices force coordinates to zero before classification; this
     is how external vanishing facts (for instance Streit's result that
@@ -181,9 +264,18 @@ def classify(sol_set, zero_indices=(), profile=None):
     surfaces) are injected without hard-coding conclusions.  An empty
     set after masking means the constraints are inconsistent.
 
+    The verdict is decided from the equation, and the set is not listed.
+    A support S (a set of coordinates) is feasible when some solution is
+    nonzero exactly on S; a checked witness decides it (see _witness).
+    The surviving solutions are those whose support avoids the mask, so
+    their support sizes and the coordinates common to all of them come
+    from the feasible supports that avoid the mask.  A singleton support
+    {j} carries the single weight target / c_j.  The mask reason's
+    "%d of %d" are the counts of the masked and of the full equation.
+
     Verdicts:
       - every surviving solution concentrated on one and the same
-        coordinate, with one surviving weight: Transitive;
+        coordinate, hence with one weight: Transitive;
       - every surviving solution spread over >= 2 coordinates:
         NotTransitive (at least two orbits however the weights fall);
       - otherwise Undecided, with orbit_count_range spanning the
@@ -193,29 +285,31 @@ def classify(sol_set, zero_indices=(), profile=None):
     guaranteed_orbits: that orbit consists of Weierstrass points in
     every consistent scenario.
     """
-    if not sol_set.solutions:
+    coeffs, target = sol_set.coefficients, sol_set.target
+    n = len(coeffs)
+    supports = [s for size in range(n + 1) for s in itertools.combinations(range(n), size)
+                if _witness(coeffs, target, s) is not None]
+    if not supports:
         raise ValueError("cannot classify an empty solution set")
     mask = tuple(sorted(set(zero_indices)))
     for i in mask:
-        if not 0 <= i < len(sol_set.coefficients):
+        if not 0 <= i < n:
             raise ValueError("mask index %d out of range" % i)
-    survivors = sol_set.solutions
-    for i in mask:
-        survivors = [v for v in survivors if not v[i]]
+    survivors = [s for s in supports if set(mask).isdisjoint(s)]
     if not survivors:
         raise ValueError("inconsistent constraints: no solutions survive the mask")
 
     reasons = []
     if mask:
+        kept = tuple(c for j, c in enumerate(coeffs) if j not in mask)
         reasons.append(
             "mask forces w%s = 0; %d of %d solutions survive"
-            % (",w".join(str(i + 1) for i in mask), len(survivors), len(sol_set.solutions))
+            % (",w".join(str(i + 1) for i in mask), _count(kept, target), sol_set.count)
         )
 
-    n = len(sol_set.coefficients)
-    counts = [n - v.count(0) for v in survivors]
-    lo, hi = min(counts), max(counts)
-    guaranteed = tuple(j for j in range(n) if all(map(operator.itemgetter(j), survivors)))
+    sizes = [len(s) for s in survivors]
+    lo, hi = min(sizes), max(sizes)
+    guaranteed = tuple(j for j in range(n) if all(j in s for s in survivors))
     for j in guaranteed:
         reasons.append(
             "coordinate w%d is nonzero in every surviving solution: "
@@ -223,28 +317,19 @@ def classify(sol_set, zero_indices=(), profile=None):
         )
 
     # a support of size at most 1 everywhere, inside one guaranteed
-    # coordinate: every survivor is supported on exactly that coordinate
+    # coordinate: the only surviving support is {j}, with one weight
     if hi == 1 and len(guaranteed) == 1:
         j = guaranteed[0]
-        weights = sorted({v[j] for v in survivors})
         if profile is not None and profile.stabilizer_orders[j] == 1:
             reasons.append(
                 "the single surviving orbit is the free orbit (trivial stabilizer)"
             )
-        if len(weights) == 1:
-            reasons.append(
-                "unique solution concentrates all weight on orbit %d with weight %d: "
-                "the action is transitive on the Weierstrass points" % (j + 1, weights[0])
-            )
-            return TransitivityVerdict(
-                TransitivityStatus.TRANSITIVE, (1, 1), tuple(reasons), guaranteed
-            )
         reasons.append(
-            "one orbit in every scenario but its weight is not determined "
-            "(candidates %s)" % (weights,)
+            "unique solution concentrates all weight on orbit %d with weight %d: "
+            "the action is transitive on the Weierstrass points" % (j + 1, target // coeffs[j])
         )
         return TransitivityVerdict(
-            TransitivityStatus.UNDECIDED, (1, 1), tuple(reasons), guaranteed
+            TransitivityStatus.TRANSITIVE, (1, 1), tuple(reasons), guaranteed
         )
     if lo >= 2:
         reasons.append(

@@ -82,6 +82,12 @@ def test_point_validation():
         FermatPoint(2, PointClass.TRIVIAL, 0, (0,))
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_no_leopoldt_point_below_five(n):
+    with pytest.raises(ValueError, match=r"no Leopoldt points for n < 5 \(got %d\)" % n):
+        FermatPoint(n, PointClass.LEOPOLDT, 0, (0, 0))
+
+
 def test_automorphism_validation():
     with pytest.raises(ValueError):
         FermatAutomorphism(5, (0, 0), (0, 1, 1))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wptrans
+from wptrans import orbitweights
 from wptrans.orbitweights import (
     TransitivityStatus,
     WeightEquationSolutionSet,
@@ -60,6 +61,11 @@ def test_solver_rejects_bad_input():
         solve_weight_equation([0, 2], 5)
     with pytest.raises(ValueError):
         solve_weight_equation([2], -1)
+    # the set checks its own equation, since it answers from it lazily
+    with pytest.raises(ValueError):
+        WeightEquationSolutionSet((3,), -3)
+    with pytest.raises(ValueError):
+        WeightEquationSolutionSet((0, 2), 4)
 
 
 ORACLE_BUDGET = 20_000
@@ -103,27 +109,45 @@ def test_solver_edge_cases_match_oracle(coefficients, target):
     assert list(sol.solutions) == brute_weight_solutions(coefficients, target)
 
 
-def test_solution_set_rejects_false_solutions():
-    with pytest.raises(InvariantError, match=r"solution \(1, 1\) fails its own equation"):
-        WeightEquationSolutionSet((3, 5), 22, ((4, 2), (1, 1)))
-    with pytest.raises(InvariantError, match="lex sorted"):
-        WeightEquationSolutionSet((1, 1), 2, ((2, 0), (1, 1)))
+# hand-made listings for the enumerator: one false solution, one out of
+# order, and one sorted and valid but short of the count (x + y = 2 has 3)
+FALSE_LISTINGS = (
+    ((3, 5), 22, [(4, 2), (1, 1)]),
+    ((1, 1), 2, [(2, 0), (1, 1)]),
+    ((1, 1), 2, [(0, 2), (1, 1)]),
+)
+FALSE_LISTING_ERRORS = (
+    "solution (1, 1) fails its own equation",
+    "solutions must be lex sorted",
+    "listing and count disagree: 2 listed, 3 counted",
+)
+
+
+def test_solution_set_rejects_false_solutions(monkeypatch):
+    for (coefficients, target, listing), message in zip(FALSE_LISTINGS, FALSE_LISTING_ERRORS):
+        monkeypatch.setattr(orbitweights, "_solutions", lambda c, t: listing)
+        sol = solve_weight_equation(coefficients, target)
+        with pytest.raises(InvariantError) as caught:
+            sol.solutions
+        assert str(caught.value) == message
 
 
 def test_solution_set_check_survives_optimize():
-    # python -O strips bare asserts; the self-check must still raise
-    code = ("from wptrans.orbitweights import WeightEquationSolutionSet as S\n"
+    # python -O strips bare asserts; the self-checks must still raise
+    code = ("from wptrans import orbitweights\n"
             "from wptrans.surfacecore import InvariantError\n"
-            "try:\n"
-            "    S((3, 5), 22, ((4, 2), (1, 1)))\n"
-            "except InvariantError as exc:\n"
-            "    print('raised:', exc)\n")
+            "for coefficients, target, listing in %r:\n"
+            "    orbitweights._solutions = lambda c, t: listing\n"
+            "    try:\n"
+            "        orbitweights.solve_weight_equation(coefficients, target).solutions\n"
+            "    except InvariantError as exc:\n"
+            "        print('raised:', exc)\n" % (FALSE_LISTINGS,))
     src = os.path.dirname(os.path.dirname(wptrans.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "raised: solution (1, 1) fails its own equation\n"
+    assert done.stdout == "".join("raised: %s\n" % m for m in FALSE_LISTING_ERRORS)
 
 
 def _outcome(classifier, sol_set, mask, profile):
@@ -141,17 +165,11 @@ def _outcome(classifier, sol_set, mask, profile):
     st.data(),
 )
 def test_classify_matches_brute_oracle(coefficients, data):
-    # random solution sets: all solutions, or a random subset of them
-    # (still a valid set, possibly empty); every mask subset, plus one
-    # index out of range; with or without a profile
+    # every mask subset, plus one index out of range; with or without a
+    # profile; the oracle reads the full listing, classify the equation
     target = data.draw(st.integers(0, _max_target(coefficients, ORACLE_BUDGET)))
-    full = solve_weight_equation(coefficients, target)
-    if data.draw(st.booleans()):
-        rng = data.draw(st.randoms(use_true_random=False))
-        keep = tuple(v for v in full.solutions if rng.random() < 0.5)
-        sol_set = WeightEquationSolutionSet(full.coefficients, target, keep)
-    else:
-        sol_set = full
+    sol_set = solve_weight_equation(coefficients, target)
+    assert sol_set.count == len(brute_weight_solutions(coefficients, target))
     n = len(coefficients)
     profile = None
     if data.draw(st.booleans()):
@@ -184,6 +202,21 @@ def test_classify_masked_psl13():
     assert verdict.orbit_count_range == (1, 2)
     assert verdict.guaranteed_orbits == (2,)
     assert any("mask" in r for r in verdict.reasons)
+
+
+@pytest.mark.parametrize("genus, status, count_range, guaranteed, count", [
+    (118, TransitivityStatus.NOT_TRANSITIVE, (2, 4), (1, 2), 790_244),       # PSL(2,27)
+    (146, TransitivityStatus.UNDECIDED, (1, 4), (2,), 2_829_056),            # PSL(2,29)
+])
+def test_classify_large_hurwitz_genera_without_listing(
+        genus, status, count_range, guaranteed, count):
+    profile = orbit_profile(84 * (genus - 1), (2, 3, 7))
+    sol = solve_weight_equation(profile.orbit_sizes, genus ** 3 - genus)
+    verdict = classify(sol, profile=profile)
+    assert (verdict.status, verdict.orbit_count_range, verdict.guaranteed_orbits) == (
+        status, count_range, guaranteed)
+    assert sol.count == count
+    assert "solutions" not in vars(sol)
 
 
 def test_classify_not_transitive_case():
