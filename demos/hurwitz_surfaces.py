@@ -17,6 +17,7 @@ from wptrans import (
     solve_weight_equation,
     total_weight,
 )
+from wptrans.cli import quiet_on_closed_pipe
 
 
 def show(q):
@@ -39,22 +40,27 @@ def show(q):
     return sols
 
 
-for q in (7, 8, 13):
-    show(q)
+def main():
+    for q in (7, 8, 13):
+        show(q)
 
-# the Streit mask by hand, for comparison with the q = 13 verdict above
-sols = solve_weight_equation(orbit_profile(1092, (2, 3, 7)).orbit_sizes, 2730)
-masked = classify(sols, zero_indices=(0, 1))
-print("q = 13 with w1 = w2 = 0 forced:", masked.status.value, masked.orbit_count_range)
-print()
+    # the Streit mask by hand, for comparison with the q = 13 verdict above
+    sols = solve_weight_equation(orbit_profile(1092, (2, 3, 7)).orbit_sizes, 2730)
+    masked = classify(sols, zero_indices=(0, 1))
+    print("q = 13 with w1 = w2 = 0 forced:", masked.status.value, masked.orbit_count_range)
+    print()
 
-print("Hurwitz prime powers 15 < q <= 200, all refuted by fixed-point counting:")
-for q in range(16, 201):
-    try:
-        prime_power(q)
-    except ValueError:
-        continue
-    if not is_hurwitz_psl2q(q).is_hurwitz:
-        continue
-    verdict = psl2q_transitivity_verdict(q, 7)
-    print("  q = %3d  %s %s" % (q, verdict.status.value, verdict.orbit_count_range))
+    print("Hurwitz prime powers 15 < q <= 200, all refuted by fixed-point counting:")
+    for q in range(16, 201):
+        try:
+            prime_power(q)
+        except ValueError:
+            continue
+        if not is_hurwitz_psl2q(q).is_hurwitz:
+            continue
+        verdict = psl2q_transitivity_verdict(q, 7)
+        print("  q = %3d  %s %s" % (q, verdict.status.value, verdict.orbit_count_range))
+
+
+if __name__ == "__main__":
+    quiet_on_closed_pipe(main)

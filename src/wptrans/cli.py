@@ -54,15 +54,24 @@ def main(argv=None):
     except AssertionError as exc:
         print("internal check failed: %s" % exc, file=sys.stderr)
         return 3
+    quiet_on_closed_pipe(lambda: print(output))
+    return 0
+
+
+def quiet_on_closed_pipe(emit):
+    """Call emit(), which writes to stdout, and flush stdout.
+
+    A reader that closes the pipe early ends the output quietly: the rest
+    is dropped, with no traceback and no change to the exit code.
+    """
     try:
-        print(output)
+        emit()
         sys.stdout.flush()
     except BrokenPipeError:
         # point stdout at devnull so the interpreter's flush at exit is silent
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-    return 0
 
 
 if __name__ == "__main__":

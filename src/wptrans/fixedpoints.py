@@ -10,10 +10,14 @@ caller error, never rounded.
 
 Schoeneberg's criterion: an automorphism of a surface of genus >= 2
 fixing more than 4 points fixes only Weierstrass points.
+
+prime_power and is_prime decide exactly, without trial division up to
+sqrt(q), for every q below PRIME_TEST_BOUND (about 3.3e24) and reject
+larger q.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .surfacecore import check
 
@@ -26,12 +30,74 @@ __all__ = [
 ]
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this
+# bound: it is the least strong pseudoprime to all 13 of them (Sorenson &
+# Webster, Strong pseudoprimes to twelve prime bases, Math. Comp. 86, 2017)
+PRIME_TEST_BOUND = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _within_bound(m):
+    if m >= PRIME_TEST_BOUND:
+        raise ValueError("primality is decided exactly only below %d, got %d"
+                         % (PRIME_TEST_BOUND, m))
+
+
+def is_prime(m):
+    """Deterministic Miller-Rabin, exact for every integer m below
+    PRIME_TEST_BOUND; ValueError from there on."""
+    _within_bound(m)
+    if m < 2:
+        return False
+    for b in _PRIME_BASES:
+        if m % b == 0:
+            return m == b
+    if m < 43 * 43:  # a composite below 43^2 has a prime factor below 43
+        return True
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _root(q, n):
+    """The integer n-th root of q >= 1: the largest r with r**n <= q."""
+    if n == 1:
+        return q
+    r = isqrt(q) if n == 2 else round(q ** (1.0 / n))
+    while r ** n > q:
+        r -= 1
+    while (r + 1) ** n <= q:
+        r += 1
+    return r
+
+
 def prime_power(q):
-    """Decompose q = p**n, p prime, n >= 1; ValueError otherwise."""
+    """Decompose q = p**n, p prime, n >= 1; ValueError otherwise.
+
+    A prime p <= 41 that divides q must be the only one: divide it out.
+    Otherwise p >= 43, so n <= log_43(q), and q is an exact n-th power
+    for at most one prime: each such n, largest first, takes q's integer
+    n-th root and keeps it if its n-th power is q and it is prime
+    (is_prime).  So the cost does not grow with sqrt(q); q must lie
+    below PRIME_TEST_BOUND.  The trial division this replaces is
+    tests/oracles.py:brute_prime_power.
+    """
     if not isinstance(q, int) or isinstance(q, bool) or q < 2:
         raise ValueError("prime power expected, got %r" % (q,))
-    p = 2
-    while p * p <= q:
+    _within_bound(q)
+    for p in _PRIME_BASES:
         if q % p == 0:
             m, n = q, 0
             while m % p == 0:
@@ -40,8 +106,14 @@ def prime_power(q):
             if m != 1:
                 raise ValueError("%d is not a prime power" % q)
             return p, n
-        p += 1
-    return q, 1
+    top = 1
+    while 43 ** (top + 1) <= q:
+        top += 1
+    for n in range(top, 0, -1):
+        p = _root(q, n)
+        if p ** n == q and is_prime(p):
+            return p, n
+    raise ValueError("%d is not a prime power" % q)
 
 
 def _divisor_sum(periods, d):

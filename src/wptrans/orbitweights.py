@@ -14,6 +14,14 @@ the unknowns are always the weights.)  Published solution lists for
 this equation say "positive integers" but contain zeros; the solver
 enumerates nonnegative vectors, which is what the data means.
 
+Counts and verdicts take time independent of the target: a count is a
+quasi-polynomial in the target (Beck & Robins), and a support's
+feasibility is read from a residue table (Boecker & Liptak), both
+cached per coefficient tuple reduced by its gcd.  For a triangle action
+that tuple depends only on the periods, so every genus of a signature
+shares them.  The prefix walk is left for small inputs only; see _count
+and _one_solution for the bounds.
+
 This module also carries the necessary-condition arithmetic
 w = |G_p| (g^3 - g) / |G| and the simple-point elimination chain.
 """
@@ -114,10 +122,10 @@ def orbit_profile(group_order, periods):
 class WeightEquationSolutionSet:
     """The nonnegative solutions of sum(c_j w_j) = target, listed on first read.
 
-    count is computed without listing anything.  solutions is listed,
-    lex sorted, the first time it is read, and checked then: every
-    solution against the equation, the order, and the length against
-    count.
+    count and supports are computed without listing anything.
+    solutions is listed, lex sorted, the first time it is read, and
+    checked then: every solution against the equation, the order, and
+    the length against count.
     """
 
     coefficients: tuple
@@ -132,6 +140,18 @@ class WeightEquationSolutionSet:
     @functools.cached_property
     def count(self):
         return _count(self.coefficients, self.target)
+
+    @functools.cached_property
+    def supports(self):
+        """Every feasible support, by size and then lex: the sorted index
+        tuples S for which some solution is nonzero exactly on S.
+
+        Each is decided once per set by a checked witness (see _witness),
+        so classifications of one set under different masks share them.
+        """
+        n = len(self.coefficients)
+        return tuple(s for size in range(n + 1) for s in itertools.combinations(range(n), size)
+                     if _witness(self.coefficients, self.target, s) is not None)
 
     @functools.cached_property
     def solutions(self):
@@ -204,12 +224,14 @@ def _solutions(coeffs, target):
             yield prefix + (w, (r - a * w) // b)
 
 
-def _count(coeffs, target):
-    """Number of nonnegative solutions, none of them listed.
+def _walk_count(coeffs, target):
+    """Number of nonnegative solutions, by walking the prefixes.
 
     The count is invariant under reordering the coordinates, so the
     largest coefficients go outermost, where they have the fewest
     prefixes, and each prefix adds the length of the last pair's range.
+    The walk's length grows with the target; _count calls it only below
+    a bound set by the coefficients.
     """
     coeffs = sorted(coeffs, reverse=True)
     if len(coeffs) < 2:
@@ -218,18 +240,142 @@ def _count(coeffs, target):
     return sum(len(weights(r)) for _, r in _prefixes(coeffs[:-2], target))
 
 
+def _count(coeffs, target):
+    """Number of nonnegative solutions, in time independent of the target.
+
+    Divide by d = gcd(c): there are none unless d divides the target,
+    and then the reduced equation has as many.  Its count (Sylvester's
+    denumerant) is a quasi-polynomial of degree k - 1 in the target t,
+    k = len(c), whose period divides L = lcm(c) (Beck & Robins,
+    Computing the Continuous Discretely, ch. 1): on each class
+    t = rho + qL it is a polynomial in q.  Below t = kL the prefix walk
+    counts directly, at a cost set by c alone.  From there on the count is
+    Newton's forward-difference series sum_j D^j comb(q, j) through the
+    walked counts at q = 0 .. k-1 of the same class (see _differences),
+    in integers only.
+    """
+    if len(coeffs) < 2:
+        return len(_short(coeffs, target))
+    d = math.gcd(*coeffs)
+    if target % d:
+        return 0
+    reduced = tuple(sorted((c // d for c in coeffs), reverse=True))
+    t = target // d
+    period = math.lcm(*reduced)
+    if t < len(reduced) * period:
+        return _walk_count(reduced, t)
+    q, rho = divmod(t, period)
+    return sum(delta * math.comb(q, j) for j, delta in enumerate(_differences(reduced, rho)))
+
+
+@functools.lru_cache(maxsize=1024)
+def _differences(reduced, rho):
+    """Forward differences D^0 .. D^(k-1) at q = 0 of the counts at rho + qL.
+
+    reduced is a descending coefficient tuple with gcd 1, L its lcm and
+    k its length; the k counts at q < k are walked.
+    """
+    period = math.lcm(*reduced)
+    values = [_walk_count(reduced, rho + q * period) for q in range(len(reduced))]
+    deltas = []
+    while values:
+        deltas.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return tuple(deltas)
+
+
+@functools.lru_cache(maxsize=64)
+def _residue_table(reduced):
+    """Boecker & Liptak's residue table of a descending tuple with gcd 1.
+
+    For the smallest coefficient a = reduced[-1], least[rho] is the least
+    value congruent to rho mod a that the other coefficients represent,
+    and pred[rho] the index of a coefficient whose removal leads to the
+    least value of another class, so the classes chain down to 0.  A
+    value is representable by reduced exactly when it is at least its
+    class's entry.  Built by their round robin (A fast and simple
+    algorithm for the money changing problem, Algorithmica 48, 2007):
+    each coefficient c walks the gcd(a, c) cycles of rho -> rho + c mod a,
+    each from its least entry, in O(k a) steps.
+    """
+    a = reduced[-1]
+    least = [0] + [math.inf] * (a - 1)
+    pred = [None] * a
+    for i, c in enumerate(reduced[:-1]):
+        cycles = math.gcd(a, c)
+        for p in range(cycles):
+            rho = min(range(p, a, cycles), key=least.__getitem__)
+            value = least[rho]
+            if value == math.inf:
+                continue
+            for _ in range(a // cycles - 1):
+                value += c
+                rho = (rho + c) % a
+                if least[rho] <= value:
+                    value = least[rho]
+                else:
+                    least[rho], pred[rho] = value, i
+    check(math.inf not in least, "residue table of %r has an empty class" % (reduced,))
+    return tuple(least), tuple(pred)
+
+
+# the largest residue table built: about 3.4 MB and 0.1 s at this size,
+# so the bounded cache of tables stays bounded in memory too
+_TABLE_LIMIT = 2 ** 16
+
+
+def _one_solution(coeffs, target):
+    """One nonnegative solution of sum c_j u_j = target, or None.
+
+    coeffs is sorted descending.  A width of at most two costs one
+    division or one pair, so it is walked.  Otherwise divide by
+    d = gcd(c) (none unless d divides the target) and read the reduced
+    equation's residue table (see _residue_table): the target is
+    representable when it is at least its class's entry, and then the
+    predecessor chain from that entry, topped up with the smallest
+    coefficient, is a solution.  The table costs O(k a) steps and a
+    entries once, for the smallest reduced coefficient a, so it is built
+    only when a is below both _TABLE_LIMIT and the number of prefixes
+    the walk may visit, prod_j (t // c_j + 1) over all but the last two
+    coefficients; otherwise the walk is used.
+    """
+    if target < 0:
+        return None
+    if len(coeffs) >= 3:
+        d = math.gcd(*coeffs)
+        if target % d:
+            return None
+        reduced = tuple(c // d for c in coeffs)
+        t = target // d
+        a = reduced[-1]
+        if a < _TABLE_LIMIT and a < math.prod(t // c + 1 for c in reduced[:-2]):
+            least, pred = _residue_table(reduced)
+            rho = t % a
+            if t < least[rho]:
+                return None
+            u = [0] * len(reduced)
+            u[-1] = (t - least[rho]) // a
+            value = least[rho]
+            while value > 0:  # the chain ends at 0; the check in _witness catches a miss
+                i = pred[rho]
+                u[i] += 1
+                value -= reduced[i]
+                rho = value % a
+            return tuple(u)
+    return next(_solutions(coeffs, target), None)
+
+
 def _witness(coeffs, target, support):
     """A solution nonzero exactly on support (sorted indices), or None.
 
-    w_j = u_j + 1 on the support turns it into the search for one
-    nonnegative solution u of sum_S c_j u_j = target - sum_S c_j, run
-    with the largest coefficients outermost.  The witness found is
+    w_j = u_j + 1 on the support turns it into one nonnegative solution
+    u of sum_S c_j u_j = target - sum_S c_j, with the largest
+    coefficients first (see _one_solution).  The witness found is
     checked against the original equation.
     """
     order = sorted(support, key=coeffs.__getitem__, reverse=True)
     sub = tuple(coeffs[j] for j in order)
-    rest = target - sum(sub)
-    u = next(_solutions(sub, rest), None) if rest >= 0 else None
+    u = _one_solution(sub, target - sum(sub))
     if u is None:
         return None
     v = [0] * len(coeffs)
@@ -246,8 +392,9 @@ def solve_weight_equation(coefficients, target):
     """The nonnegative integer solutions of sum c_j w_j = target.
 
     Builds the solution set, which validates the equation; nothing is
-    enumerated here.  The set's count sums closed-form last-pair counts
-    (see _count).  Its solutions are listed on first read, lex sorted, by
+    enumerated here.  The set's count is a quasi-polynomial in the target
+    (see _count), and its supports are decided from residue tables (see
+    _one_solution).  Its solutions are listed on first read, lex sorted, by
     a search that solves the last pair instead of searching it, so it
     visits only solutions (see _solutions), and the listing is
     re-verified exactly then.  An empty set is a valid answer.
@@ -266,10 +413,11 @@ def classify(sol_set, zero_indices=(), profile=None):
 
     The verdict is decided from the equation, and the set is not listed.
     A support S (a set of coordinates) is feasible when some solution is
-    nonzero exactly on S; a checked witness decides it (see _witness).
-    The surviving solutions are those whose support avoids the mask, so
-    their support sizes and the coordinates common to all of them come
-    from the feasible supports that avoid the mask.  A singleton support
+    nonzero exactly on S; a checked witness decides it (see _witness),
+    once per set (sol_set.supports).  The surviving solutions are those
+    whose support avoids the mask, so their support sizes and the
+    coordinates common to all of them come from the feasible supports
+    that avoid the mask.  A singleton support
     {j} carries the single weight target / c_j.  The mask reason's
     "%d of %d" are the counts of the masked and of the full equation.
 
@@ -287,8 +435,7 @@ def classify(sol_set, zero_indices=(), profile=None):
     """
     coeffs, target = sol_set.coefficients, sol_set.target
     n = len(coeffs)
-    supports = [s for size in range(n + 1) for s in itertools.combinations(range(n), size)
-                if _witness(coeffs, target, s) is not None]
+    supports = sol_set.supports
     if not supports:
         raise ValueError("cannot classify an empty solution set")
     mask = tuple(sorted(set(zero_indices)))

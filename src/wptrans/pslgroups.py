@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-from .fixedpoints import is_realizable_order, prime_power, psl2q_fixed_points
+from .fixedpoints import is_prime, is_realizable_order, prime_power, psl2q_fixed_points
 from .orbitweights import (
     TransitivityStatus,
     TransitivityVerdict,
@@ -57,11 +57,8 @@ CENSUS_Q_LIMIT = 32
 
 
 def _is_prime(m):
-    """m is prime iff it is its own prime power p**1."""
-    try:
-        return prime_power(m) == (m, 1)
-    except ValueError:
-        return False
+    """fixedpoints.is_prime for an integer m, False for anything else."""
+    return isinstance(m, int) and not isinstance(m, bool) and is_prime(m)
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,15 @@ def _cover_dict(cover):
     }
 
 
+# the listing holds one Accola-Maclachlan surface per genus, so its size
+# grows with --max-genus; 10^4 genera are about 5 MB of text, 7 MB of JSON
+HYPERELLIPTIC_MAX_GENUS = 10_000
+
+
 def _hyperelliptic(max_genus):
+    if max_genus > HYPERELLIPTIC_MAX_GENUS:
+        raise ValueError("--max-genus must be at most %d, got %d"
+                         % (HYPERELLIPTIC_MAX_GENUS, max_genus))
     covers = platonic.enumerate_transitive_hyperelliptic(max_genus)
     return {
         "max_genus": max_genus,
@@ -340,11 +348,14 @@ def _bielliptic_scan(g_from, g_to):
 def _fermat(n):
     report = fermat.weight_accounting(n)
     verdict = fermat.fermat_transitivity(n)
+    # one seed per family, built directly: the first point of each listing
     orbit_sizes = {
-        "trivial": fermat.orbit_enumerate(n, fermat.trivial_points(n)[0]),
+        "trivial": fermat.orbit_enumerate(
+            n, fermat.FermatPoint(n, fermat.PointClass.TRIVIAL, 0, (0,))),
     }
     if n >= 5:
-        orbit_sizes["leopoldt"] = fermat.orbit_enumerate(n, fermat.leopoldt_points(n)[0])
+        orbit_sizes["leopoldt"] = fermat.orbit_enumerate(
+            n, fermat.FermatPoint(n, fermat.PointClass.LEOPOLDT, 0, (0, 0)))
     return {
         "n": n,
         "genus": report.genus,

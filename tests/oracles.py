@@ -43,6 +43,47 @@ def oracle_cost(coefficients, target):
     return cost
 
 
+def brute_witness(coefficients, target, support):
+    """A solution nonzero exactly on support, by depth-first search, or None.
+
+    Coordinate support[i] tries 1, 2, ... while its term fits in what
+    the earlier ones left of target; coordinates outside support stay 0.
+    Nothing else prunes the search, so an infeasible support costs its
+    whole box of candidates.
+    """
+    vec = [0] * len(coefficients)
+
+    def search(i, remaining):
+        if i == len(support):
+            return remaining == 0
+        j = support[i]
+        w = 1
+        while coefficients[j] * w <= remaining:
+            vec[j] = w
+            if search(i + 1, remaining - coefficients[j] * w):
+                return True
+            w += 1
+        vec[j] = 0
+        return False
+
+    return tuple(vec) if search(0, target) else None
+
+
+def brute_least_in_classes(coefficients):
+    """For a = min(coefficients), the least value in each residue class
+    mod a that a nonnegative combination of coefficients reaches.
+
+    Marks the reachable values 0 .. a * max(coefficients) one at a time
+    (v is reachable when v - c is, for some c), then takes the first
+    marked value of each class; None where the range holds none.
+    """
+    a, top = min(coefficients), min(coefficients) * max(coefficients)
+    reached = [True] + [False] * top
+    for v in range(1, top + 1):
+        reached[v] = any(v >= c and reached[v - c] for c in coefficients)
+    return [next((v for v in range(r, top + 1, a) if reached[v]), None) for r in range(a)]
+
+
 def brute_classify(sol_set, zero_indices=(), profile=None):
     """The library's earlier classify, kept as written: it filters a copy
     of the solutions, builds every survivor's support tuple, and tests a
@@ -487,6 +528,28 @@ def brute_bielliptic_survivors(g_from, g_to):
         if any(total % w == 0 for w in candidates):
             found.append(g)
     return found
+
+
+def brute_prime_power(q):
+    """(p, n) with q = p**n and p prime, by trial division; ValueError otherwise.
+
+    The least divisor p >= 2 of q is prime; q is a power of p exactly
+    when dividing p out repeatedly leaves 1.
+    """
+    if not isinstance(q, int) or isinstance(q, bool) or q < 2:
+        raise ValueError("prime power expected, got %r" % (q,))
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            m, n = q, 0
+            while m % p == 0:
+                m //= p
+                n += 1
+            if m != 1:
+                raise ValueError("%d is not a prime power" % q)
+            return p, n
+        p += 1
+    return q, 1
 
 
 def brute_is_prime(m):

@@ -26,3 +26,17 @@ def test_demo_runs(name):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert KNOWN_LINES[name] in done.stdout
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_ends_quietly_on_closed_pipe(name):
+    # `python demos/x.py | head -1` with a reader that closes before the
+    # demo writes anything, so its first write meets a broken pipe
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen([sys.executable, str(DEMOS / name)], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0, err
+    assert err == b""

@@ -1,9 +1,11 @@
 """The weight equation: profiles, solver, classification, necessary weight."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
+import time
 import types
 
 import pytest
@@ -23,7 +25,13 @@ from wptrans.orbitweights import (
 )
 from wptrans.surfacecore import InvariantError
 
-from oracles import brute_classify, brute_weight_solutions, oracle_cost
+from oracles import (
+    brute_classify,
+    brute_least_in_classes,
+    brute_weight_solutions,
+    brute_witness,
+    oracle_cost,
+)
 
 
 KLEIN = ([24, 56, 84, 168], 24)
@@ -159,27 +167,78 @@ def _outcome(classifier, sol_set, mask, profile):
             verdict.guaranteed_orbits)
 
 
+def _supports(n):
+    return [s for r in range(n + 1) for s in itertools.combinations(range(n), r)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=4),
+    st.one_of(
+        st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=4),
+        # divisors of 24 keep lcm(c) small, so that most targets reach the
+        # quasi-polynomial range k * lcm(c) of _count
+        st.lists(st.sampled_from((1, 2, 3, 4, 6, 8, 12)), min_size=1, max_size=4),
+    ),
     st.data(),
 )
 def test_classify_matches_brute_oracle(coefficients, data):
     # every mask subset, plus one index out of range; with or without a
-    # profile; the oracle reads the full listing, classify the equation
+    # profile; the oracle reads the full listing, classify the equation.
+    # Every support's witness (a residue table's from width 3 on) agrees
+    # with the depth-first oracle, and every masked count with the listing
     target = data.draw(st.integers(0, _max_target(coefficients, ORACLE_BUDGET)))
     sol_set = solve_weight_equation(coefficients, target)
-    assert sol_set.count == len(brute_weight_solutions(coefficients, target))
+    listing = brute_weight_solutions(coefficients, target)
+    assert sol_set.count == len(listing)
     n = len(coefficients)
+    for support in _supports(n):
+        found = orbitweights._witness(sol_set.coefficients, target, support)
+        assert (found is None) == (brute_witness(coefficients, target, support) is None), support
+    assert set(sol_set.supports) == {tuple(j for j, w in enumerate(v) if w) for v in listing}
     profile = None
     if data.draw(st.booleans()):
         # classify reads only stabilizer_orders, to flag the free orbit
         stabs = data.draw(st.lists(st.sampled_from((1, 2, 3)), min_size=n, max_size=n))
         profile = types.SimpleNamespace(stabilizer_orders=tuple(stabs))
-    masks = [m for r in range(n + 1) for m in itertools.combinations(range(n), r)]
+    masks = _supports(n)
+    for mask in masks:
+        kept = [c for j, c in enumerate(coefficients) if j not in mask]
+        if kept:
+            assert orbitweights._count(kept, target) == sum(
+                1 for v in listing if not any(v[i] for i in mask)), mask
     for mask in masks + [(n,)]:
         assert (_outcome(classify, sol_set, mask, profile)
                 == _outcome(brute_classify, sol_set, mask, profile)), mask
+
+
+def test_residue_tables_match_oracle():
+    # every descending tuple with gcd 1 of width 2 to 4 from 1..12: the
+    # round robin's least entries, and each predecessor chain steps down
+    # to a smaller entry of the class one coefficient lower
+    for width in (2, 3, 4):
+        for combo in itertools.combinations_with_replacement(range(12, 0, -1), width):
+            if math.gcd(*combo) != 1:
+                continue
+            least, pred = orbitweights._residue_table(combo)
+            assert list(least) == brute_least_in_classes(combo), combo
+            a = combo[-1]
+            for rho in range(1, a):
+                down = least[rho] - combo[pred[rho]]
+                assert least[down % a] == down, (combo, rho)
+
+
+@pytest.mark.parametrize("coefficients", [
+    (5, 7), (4, 6), (1, 2, 3), (3, 4, 6), (1, 1, 2, 2), (2, 2, 4, 4),
+])
+def test_count_across_the_quasi_polynomial_threshold(coefficients):
+    # _count walks below k * lcm(c) (c reduced by its gcd d) and sums the
+    # difference series from there; every target up to two periods past
+    # the switch, gcd misses included
+    d = math.gcd(*coefficients)
+    period = math.lcm(*(c // d for c in coefficients))
+    for target in range(d * (len(coefficients) + 2) * period + 1):
+        assert orbitweights._count(coefficients, target) == len(
+            brute_weight_solutions(coefficients, target)), target
 
 
 def test_classify_transitive_case():
@@ -217,6 +276,78 @@ def test_classify_large_hurwitz_genera_without_listing(
         status, count_range, guaranteed)
     assert sol.count == count
     assert "solutions" not in vars(sol)
+
+
+@pytest.mark.parametrize("genus, count, masked_count", [
+    (10 ** 5, 281_205_574_311_472_218_465_365, 7_086_309_521_683_645),
+    (10 ** 6, 281_197_978_564_623_668_530_965_427_865, 70_861_819_727_678_571_145),
+])
+def test_classify_hurwitz_genera_past_any_walk(genus, count, masked_count):
+    # the counts agree with Lagrange interpolation through coin-change
+    # counts at other points of the same residue class
+    profile = orbit_profile(84 * (genus - 1), (2, 3, 7))
+    sol = solve_weight_equation(profile.orbit_sizes, genus ** 3 - genus)
+    verdict = classify(sol, profile=profile)
+    assert (verdict.status, verdict.orbit_count_range, verdict.guaranteed_orbits) == (
+        TransitivityStatus.NOT_TRANSITIVE, (2, 4), (0, 1))
+    masked = classify(sol, zero_indices=(2,), profile=profile)
+    assert (masked.status, masked.orbit_count_range, masked.guaranteed_orbits) == (
+        TransitivityStatus.NOT_TRANSITIVE, (2, 3), (0, 1))
+    assert masked.reasons[0] == "mask forces w3 = 0; %d of %d solutions survive" % (
+        masked_count, count)
+    for mask in ((0,), (1,), (0, 1, 2)):
+        with pytest.raises(ValueError, match="inconsistent"):
+            classify(sol, zero_indices=mask)
+
+
+def _prefix_walks(monkeypatch, genus):
+    """_prefixes calls made by classify, plain and under every mask, from
+    empty caches, for the (2,3,7) action of that genus."""
+    orbitweights._differences.cache_clear()
+    orbitweights._residue_table.cache_clear()
+    calls = []
+    walk = orbitweights._prefixes
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(orbitweights, "_prefixes", counted)
+    profile = orbit_profile(84 * (genus - 1), (2, 3, 7))
+    sol = solve_weight_equation(profile.orbit_sizes, genus ** 3 - genus)
+    for mask in _supports(3):
+        _outcome(classify, sol, mask, profile)
+    monkeypatch.setattr(orbitweights, "_prefixes", walk)
+    return len(calls)
+
+
+def test_classify_work_does_not_grow_with_the_genus(monkeypatch):
+    walks = _prefix_walks(monkeypatch, 10 ** 4)
+    assert walks == _prefix_walks(monkeypatch, 10 ** 6)
+    assert 0 < walks < 100
+
+
+def test_large_coprime_periods_keep_the_walk(monkeypatch):
+    # the smallest reduced orbit size is 1009 * 1013, about 10^6: a residue
+    # table would cost more than the walk it replaces, so none is built
+    tables = []
+    build = orbitweights._residue_table
+    monkeypatch.setattr(orbitweights, "_residue_table",
+                        lambda reduced: tables.append(reduced) or build(reduced))
+    n = 1009 * 1013 * 1019
+    profile = orbit_profile(n, (1009, 1013, 1019))
+    sol = solve_weight_equation(profile.orbit_sizes, 30 * n)
+    start = time.perf_counter()
+    verdict = classify(sol, zero_indices=(0,), profile=profile)
+    assert time.perf_counter() - start < 1
+    assert verdict.reasons[0] == "mask forces w1 = 0; 496 of 5456 solutions survive"
+    assert (verdict.status, verdict.orbit_count_range) == (TransitivityStatus.UNDECIDED, (1, 3))
+    # past the walk's bound, a table of 2^16 entries or more is not built either
+    coeffs = (200_003, 100_003, 65_537)
+    target = 65_537 * 10 ** 6 + sum(coeffs)
+    assert orbitweights._witness(coeffs, target, (0, 1, 2)) is not None
+    assert 65_537 < target // coeffs[0]
+    assert tables == []
 
 
 def test_classify_not_transitive_case():

@@ -11,7 +11,7 @@ import pytest
 import wptrans
 from wptrans import pslgroups
 from wptrans.cli import main
-from wptrans.fixedpoints import is_realizable_order
+from wptrans.fixedpoints import PRIME_TEST_BOUND, is_prime, is_realizable_order
 from wptrans.orbitweights import TransitivityStatus
 from wptrans.pslgroups import (
     CENSUS_Q_LIMIT,
@@ -32,6 +32,7 @@ from oracles import (
     brute_first_irreducible,
     brute_is_prime,
     brute_order_census_tables,
+    brute_prime_power,
     brute_projective_census,
 )
 
@@ -57,6 +58,47 @@ def test_prime_power():
     for bad in (0, 1, 6, 12, 100):
         with pytest.raises(ValueError):
             prime_power(bad)
+
+
+def _outcome(fn, q):
+    try:
+        return fn(q)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_prime_power_matches_trial_division():
+    # results and error messages alike, non-integers included
+    for q in list(range(-3, 10 ** 5)) + [True, 2.0, "7"]:
+        assert _outcome(prime_power, q) == _outcome(brute_prime_power, q), q
+
+
+# strong pseudoprimes to the first 4, 11 and 12 prime bases (the last is
+# the least one for 2..37), so only base 41 exposes it
+STRONG_PSEUDOPRIMES = (3_215_031_751, 3_825_123_056_546_413_051,
+                       318_665_857_834_031_151_167_461)
+
+
+def test_prime_power_on_strong_pseudoprimes():
+    assert _outcome(prime_power, STRONG_PSEUDOPRIMES[0]) == _outcome(
+        brute_prime_power, STRONG_PSEUDOPRIMES[0])
+    for m in STRONG_PSEUDOPRIMES:
+        assert not is_prime(m)
+        assert _outcome(prime_power, m) == ("ValueError", "%d is not a prime power" % m)
+
+
+def test_prime_power_of_large_inputs():
+    assert prime_power(10 ** 18 + 3) == (10 ** 18 + 3, 1)
+    p = 10 ** 9 + 7  # and p + 2 are twin primes
+    assert prime_power(p ** 2) == (p, 2)
+    assert prime_power(3 ** 50) == (3, 50)
+    assert _outcome(prime_power, p * (p + 2)) == (
+        "ValueError", "%d is not a prime power" % (p * (p + 2)))
+    for m in (PRIME_TEST_BOUND, PRIME_TEST_BOUND + 1, 2 ** 100):
+        with pytest.raises(ValueError, match="only below %d" % PRIME_TEST_BOUND):
+            prime_power(m)
+        with pytest.raises(ValueError, match="only below %d" % PRIME_TEST_BOUND):
+            is_prime(m)
 
 
 def test_is_prime_matches_trial_division():

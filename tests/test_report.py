@@ -10,8 +10,10 @@ import pytest
 import wptrans
 import wptrans.report as report_mod
 from wptrans.cli import main
+from wptrans.fixedpoints import PRIME_TEST_BOUND
 from wptrans.report import (
     COMMANDS,
+    HYPERELLIPTIC_MAX_GENUS,
     CommandRequest,
     ReportDocument,
     load_dataset,
@@ -235,3 +237,30 @@ def test_cli_closed_stdout_exits_quietly(argv, lines_read):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+BIG_PRIME = 10 ** 18 + 3
+
+
+@pytest.mark.parametrize("argv, code, max_bytes", [
+    (["hurwitz", "--q", str(BIG_PRIME)], 0, 4096),
+    (["psl-verdict", "--q", str(BIG_PRIME), "--t", "7"], 0, 4096),
+    (["modular", "--p", str(BIG_PRIME)], 0, 4096),
+    (["fermat", "--n", "100000"], 0, 4096),
+    (["hyperelliptic", "--max-genus", str(HYPERELLIPTIC_MAX_GENUS)], 0, 8 * 2 ** 20),
+    (["hyperelliptic", "--max-genus", str(HYPERELLIPTIC_MAX_GENUS + 1)], 2, 0),
+    (["hurwitz", "--q", str(PRIME_TEST_BOUND)], 2, 0),
+], ids=["hurwitz", "psl-verdict", "modular", "fermat", "hyperelliptic",
+        "hyperelliptic-past-bound", "hurwitz-past-bound"])
+def test_cli_work_is_bounded_at_the_largest_inputs(argv, code, max_bytes):
+    # each subcommand at its largest accepted input, or one past it: a few
+    # seconds and a bounded output, never minutes (orbit-weights listings
+    # are still unbounded)
+    src = os.path.dirname(os.path.dirname(wptrans.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "wptrans.cli"] + argv + ["--format", "json"],
+                          env=env, capture_output=True, timeout=20)
+    assert done.returncode == code, done.stderr
+    assert len(done.stdout) <= max_bytes
+    if code == 2:
+        assert done.stderr.startswith(b"error: ")
