@@ -107,8 +107,7 @@ def leopoldt_weight_bound(n):
     (n-1)(n-3)/8 for odd n, (n-2)(n-4)/8 for even n; returns
     (bound, is_exact) with exactness exactly for n <= 8.
     """
-    if n < 5:
-        raise ValueError("no Leopoldt points for n < 5 (got %r)" % (n,))
+    _leopoldt_guard(n)
     num = (n - 1) * (n - 3) if n % 2 else (n - 2) * (n - 4)
     check(num % 8 == 0, "Towse bound is not an integer at n = %d" % n)
     return num // 8, n <= 8

@@ -227,15 +227,12 @@ def _solutions(coeffs, target):
 def _walk_count(coeffs, target):
     """Number of nonnegative solutions, by walking the prefixes.
 
-    The count is invariant under reordering the coordinates, so the
-    largest coefficients go outermost, where they have the fewest
-    prefixes, and each prefix adds the length of the last pair's range.
-    The walk's length grows with the target; _count calls it only below
-    a bound set by the coefficients.
+    coeffs is a descending tuple of width >= 2, as _count and
+    _differences pass it: the largest coefficients go outermost, where
+    they have the fewest prefixes, and each prefix adds the length of
+    the last pair's range.  The walk's length grows with the target;
+    _count calls it only below a bound set by the coefficients.
     """
-    coeffs = sorted(coeffs, reverse=True)
-    if len(coeffs) < 2:
-        return len(_short(coeffs, target))
     weights = _last_pair(*coeffs[-2:])
     return sum(len(weights(r)) for _, r in _prefixes(coeffs[:-2], target))
 

@@ -1,24 +1,25 @@
 """PSL(2,q) made concrete: GF(p^n) as lookup tables (q <= 32, filled by
 a digit recurrence, the modulus the first with no zero divisors), an
-element-order census by trace class, Macbeath's Hurwitz classification,
-and transitivity verdicts.
+element-order census by trace class size, Macbeath's Hurwitz
+classification, and transitivity verdicts.
 
-The census is the oracle of this package.  It enumerates the matrices
-of SL(2,q) directly, canonicalized modulo +-I, and tallies them by
-trace.  The order then comes from one lemma: a non-scalar 2x2 matrix M
-of trace t and determinant 1 is GL(2,q)-conjugate to the companion
-matrix (0, -1; 1, t) of its characteristic polynomial x^2 - tx + 1
-(pick v not an eigenvector; in the basis v, Mv the matrix is that
-companion).  Conjugation keeps the order of the induced permutation of
-the q+1 points of the projective line and its number of fixed points,
-so one permutation per trace value gives the order of every element of
-that trace.  At t = +-2 (in characteristic 2, 2 = 0) this says M is
-+-unipotent, of order p with one fixed point.  The only scalar visited
-is the identity.
-The per-element loop this replaces is kept as the test oracle
-tests/oracles.py:brute_projective_census.  Everything the fixed-point
-formulas assume about element orders is cross-checked against the
-census.
+The census is the oracle of this package, and it rests on one lemma.
+A non-scalar M in SL(2,q) of trace t is GL(2,q)-conjugate to the
+companion matrix C_t = (0, -1; 1, t) of x^2 - tx + 1 (pick v not an
+eigenvector; in the basis v, Mv the matrix is C_t).  Conjugation keeps
+the order of the induced permutation x -> -1/(x + t) of the q+1 points
+of the projective line, and its fixed points, the r roots of
+x^2 + tx + 1 (as many as x^2 - tx + 1 has).  The centralizer of C_t is
+the unit group of GF(q)[x]/(x^2 - tx + 1), of order (q-1)^2, q^2-1 or
+q(q-1) for r = 2, 0 or 1, so the class has q(q+1), q(q-1) or q^2-1
+members.  With the scalar of trace t when r = 1, SL(2,q) has
+q(q - 1 + r) matrices of trace t: one permutation per t gives the order
+and the number of its elements.  Summed over t this is |SL(2,q)|
+exactly when the r sum to q - 1, which the coverage check tests.  The
+SL(2,q) walks this replaces are test oracles in tests/oracles.py:
+brute_projective_census (one permutation per element) and
+brute_trace_tally.  Everything the fixed-point formulas assume about
+element orders is cross-checked against the census.
 
 The transitivity verdicts encode a case analysis as data: the
 fixed-point counts they quote are computed, but facts like the
@@ -162,7 +163,7 @@ def psl2_order(q):
 
 @dataclass(frozen=True)
 class OrderCensus:
-    """Element-order histogram of PSL(2,q) from enumerating the group."""
+    """Element-order histogram of PSL(2,q), counted by trace class."""
 
     q: int
     group_order: int
@@ -203,50 +204,21 @@ def _perm_order_and_fixed(images):
 def _census_counts(p, n):
     """Element-order counts of PSL(2, p^n), tallied by trace class.
 
-    Pass one enumerates SL(2,q) directly: for a != 0, d = (1+bc)/a; for
-    a = 0, bc = -1 forces c and leaves d free.  For odd q only the
-    canonical representative of {M, -M} is visited (first nonzero entry
-    e with code(e) < code(-e)), so every PSL element is seen exactly
-    once, and each visit adds one to its trace's tally.  M and -M are
-    one PSL element, so the tally needs no halving.
-
-    Pass two runs once per trace t that occurs, on the permutation of
-    the projective line (the q field codes plus a point at infinity)
-    induced by the companion matrix (0, -1; 1, t), x -> -1/(x + t); by
-    the module's lemma its order is that of every non-identity element
-    of trace t.  Fixed-point sanity (non-identity elements fix at most
-    2 points, order-p elements exactly one) is checked once per class.
+    For each trace t, the companion permutation x -> -1/(x + t) of the
+    projective line (the q field codes plus a point at infinity) gives
+    the class's order and r fixed points, and the module's lemma its
+    q(q - 1 + r) members, less the scalar when r = 1.  Fixed-point
+    sanity is checked once per class.  For odd q each count is halved,
+    as M and -M are one element (the classes of t and -t are equal, that
+    of t = 0 even); the identity is counted last.
     """
     field = field_build(p, n)
-    add, mul, inv, neg = field.tables()
+    add, _, inv, neg = field.tables()
     q = field.q
-    odd = q % 2 == 1
     INF = q
-    by_trace = [0] * q
 
-    for a in range(q):
-        if a != 0:
-            if odd and neg[a] < a:
-                continue
-            ia = inv[a]
-            add_a = add[a]
-            # trace a + d of the element with bc = u, where d = (1 + u) / a
-            trace_of = [add_a[mul[add[u][1]][ia]] for u in range(q)]
-            for b in range(q):
-                for u in mul[b]:  # u = bc for every c
-                    by_trace[trace_of[u]] += 1
-        else:
-            for b in range(1, q):
-                if odd and neg[b] < b:
-                    continue
-                for d in range(q):  # the trace is 0 + d
-                    by_trace[d] += 1
-    by_trace[add[1][1]] -= 1  # the identity, trace 2
-
-    counts = {1: 1}
-    for t, members in enumerate(by_trace):
-        if not members:
-            continue
+    counts = {}
+    for t in range(q):
         add_t = add[t]
         images = [INF if add_t[x] == 0 else neg[inv[add_t[x]]] for x in range(q)]
         images.append(0)  # infinity -> 0/1
@@ -254,15 +226,24 @@ def _census_counts(p, n):
         check(fixed <= 2, "non-identity element fixing %d > 2 points" % fixed)
         if order == p:
             check(fixed == 1, "order-%d element must fix exactly one point" % p)
-        counts[order] = counts.get(order, 0) + members
+        counts[order] = counts.get(order, 0) + q * (q - 1 + fixed) - (fixed == 1)
+    if q % 2:
+        for order, members in counts.items():
+            check(members % 2 == 0, "%d elements of order %d do not pair up as M, -M"
+                  % (members, order))
+            counts[order] = members // 2
+    counts[1] = 1
     return counts
 
 
 def order_census(q):
-    """Element-order census of PSL(2,q) by trace class, q <= 32.
+    """Element-order census of PSL(2,q) by trace class size, q <= 32.
 
-    Totals are checked against q(q^2-1)/gcd(2,q-1) and every occurring
-    order is checked against the arithmetic realizability predicate.
+    Each trace class's order and size come from one projective
+    permutation (see the module's lemma); the SL(2,q) walks are test
+    oracles in tests/oracles.py.  Totals are checked against
+    q(q^2-1)/gcd(2,q-1) and every occurring order is checked against
+    the arithmetic realizability predicate.
     """
     p, n = prime_power(q)
     if q > CENSUS_Q_LIMIT:

@@ -279,6 +279,11 @@ def _cover_dict(cover):
 # grows with --max-genus; 10^4 genera are about 5 MB of text, 7 MB of JSON
 HYPERELLIPTIC_MAX_GENUS = 10_000
 
+# classify decides each of the 2^(r+1) supports of r periods plus the free
+# orbit, about 4.5x more work per two more periods; at 12 an unmasked
+# classify takes ~0.1 s at any target
+ORBIT_WEIGHTS_MAX_PERIODS = 12
+
 
 def _hyperelliptic(max_genus):
     if max_genus > HYPERELLIPTIC_MAX_GENUS:
@@ -305,6 +310,9 @@ def _hurwitz(q):
 
 
 def _orbit_weights(order, periods, target, mask=()):
+    if len(periods) > ORBIT_WEIGHTS_MAX_PERIODS:
+        raise ValueError("--periods must have at most %d entries, got %d"
+                         % (ORBIT_WEIGHTS_MAX_PERIODS, len(periods)))
     mask = tuple(mask)
     profile = orbitweights.orbit_profile(order, periods)
     sols = orbitweights.solve_weight_equation(profile.orbit_sizes, target)

@@ -253,6 +253,28 @@ def brute_field_tables(p, n, modulus):
     return add, mul, inv, neg
 
 
+def brute_trace_tally(p, n):
+    """Number of SL(2, p^n) matrices of each trace, by walking them all.
+
+    Runs on its own field, brute_field_tables over the first irreducible
+    modulus: every (a, b, c) with a != 0 fixes d = (1 + bc)/a, and a = 0
+    forces bc = -1, so c = -1/b for each b != 0 and d is free.  Returns a
+    list indexed by the trace's code, +-I included.
+    """
+    add, mul, inv, _ = brute_field_tables(p, n, brute_first_irreducible(p, n))
+    q = p ** n
+    tally = [0] * q
+    for a in range(1, q):
+        for b in range(q):
+            for c in range(q):
+                d = mul[add[mul[b][c]][1]][inv[a]]
+                tally[add[a][d]] += 1
+    for b in range(1, q):
+        for d in range(q):
+            tally[d] += 1  # a = 0, c = -1/b: the trace is d
+    return tally
+
+
 def brute_first_irreducible(p, n):
     """First monic degree-n polynomial over GF(p) with no proper factor.
 

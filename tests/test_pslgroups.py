@@ -34,6 +34,7 @@ from oracles import (
     brute_order_census_tables,
     brute_prime_power,
     brute_projective_census,
+    brute_trace_tally,
 )
 
 PRIME_POWERS_32 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
@@ -232,6 +233,22 @@ def test_census_checks_raise_invariant_error(monkeypatch):
     monkeypatch.setattr(pslgroups, "_perm_order_and_fixed", lambda images: (2, 3))
     with pytest.raises(InvariantError, match="fixing 3 > 2 points"):
         order_census(7)
+    # class sizes rest on the fixed counts: no roots anywhere undercounts
+    monkeypatch.setattr(pslgroups, "_perm_order_and_fixed", lambda images: (2, 0))
+    with pytest.raises(InvariantError, match="does not cover the group"):
+        order_census(7)
+
+
+def test_trace_class_sizes_match_oracle():
+    # SL(2,q) has q(q - 1 + r) matrices of trace t, r the number of roots
+    # of x^2 - tx + 1, counted in the oracle's own field
+    for q in _prime_powers(CENSUS_Q_LIMIT):
+        p, n = prime_power(q)
+        add, mul, _, neg = brute_field_tables(p, n, brute_first_irreducible(p, n))
+        tally = brute_trace_tally(p, n)
+        for t in range(q):
+            roots = sum(add[add[mul[x][x]][neg[mul[t][x]]]][1] == 0 for x in range(q))
+            assert tally[t] == q * (q - 1 + roots), (q, t)
 
 
 def test_census_checks_survive_optimize():

@@ -14,6 +14,7 @@ from wptrans.fixedpoints import PRIME_TEST_BOUND
 from wptrans.report import (
     COMMANDS,
     HYPERELLIPTIC_MAX_GENUS,
+    ORBIT_WEIGHTS_MAX_PERIODS,
     CommandRequest,
     ReportDocument,
     load_dataset,
@@ -250,8 +251,13 @@ BIG_PRIME = 10 ** 18 + 3
     (["hyperelliptic", "--max-genus", str(HYPERELLIPTIC_MAX_GENUS)], 0, 8 * 2 ** 20),
     (["hyperelliptic", "--max-genus", str(HYPERELLIPTIC_MAX_GENUS + 1)], 2, 0),
     (["hurwitz", "--q", str(PRIME_TEST_BOUND)], 2, 0),
+    (["orbit-weights", "--order", "2", "--periods", ",".join(["2"] * ORBIT_WEIGHTS_MAX_PERIODS),
+      "--target", "3"], 0, 2 ** 20),
+    (["orbit-weights", "--order", "2",
+      "--periods", ",".join(["2"] * (ORBIT_WEIGHTS_MAX_PERIODS + 1)), "--target", "3"], 2, 0),
 ], ids=["hurwitz", "psl-verdict", "modular", "fermat", "hyperelliptic",
-        "hyperelliptic-past-bound", "hurwitz-past-bound"])
+        "hyperelliptic-past-bound", "hurwitz-past-bound", "orbit-weights",
+        "orbit-weights-past-bound"])
 def test_cli_work_is_bounded_at_the_largest_inputs(argv, code, max_bytes):
     # each subcommand at its largest accepted input, or one past it: a few
     # seconds and a bounded output, never minutes (orbit-weights listings
