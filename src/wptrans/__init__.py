@@ -9,93 +9,14 @@ permutation group on the projective line, Kato's bi-elliptic weight
 window, and the distinguished points of the Fermat curves.
 """
 
-from .bielliptic import (
-    WeightWindow,
-    bielliptic_window,
-    garcia_transitivity_test,
-    kato_max_weight,
-    nu,
-    scan_nontransitive,
-    two_hyperelliptic,
-)
-from .fermat import (
-    AccountingReport,
-    FermatPoint,
-    PointClass,
-    automorphism_group_order,
-    fermat_genus,
-    fermat_transitivity,
-    leopoldt_points,
-    leopoldt_weight_bound,
-    orbit_enumerate,
-    trivial_point_weight,
-    trivial_points,
-    weight_accounting,
-)
-from .fixedpoints import (
-    cyclic_fixed_points,
-    is_realizable_order,
-    psl2q_fixed_points,
-    schoeneberg_is_weierstrass,
-)
-from .orbitweights import (
-    OrbitProfile,
-    SimplePointOutcome,
-    TransitivityStatus,
-    TransitivityVerdict,
-    WeightEquationSolutionSet,
-    classify,
-    hurwitz_divisibility,
-    necessary_weight,
-    orbit_profile,
-    simple_point_analysis,
-    solve_weight_equation,
-)
-from .platonic import (
-    BranchLocus,
-    CoverResult,
-    GroupDescriptor,
-    SphericalMap,
-    accola_maclachlan,
-    catalog,
-    dihedron,
-    double_cover,
-    dual,
-    enumerate_transitive_hyperelliptic,
-    hosohedron,
-    star_map,
-)
-from .pslgroups import (
-    FiniteField,
-    HurwitzStatus,
-    OrderCensus,
-    field_build,
-    hurwitz_genus,
-    is_hurwitz_psl2q,
-    modular_surface_verdict,
-    order_census,
-    prime_power,
-    psl2_order,
-    psl2q_transitivity_verdict,
-)
-from .report import (
-    CommandRequest,
-    ReportDocument,
-    run,
-    validate_section6_dataset,
-)
-from .surfacecore import (
-    FuchsianSignature,
-    MapValidation,
-    RegularMapDescriptor,
-    WeightDistribution,
-    double_cover_genus,
-    hyperelliptic_signature,
-    rh_area_consistency,
-    total_weight,
-    validate_map,
-    weierstrass_count_bounds,
-)
+from .bielliptic import *
+from .fermat import *
+from .fixedpoints import *
+from .orbitweights import *
+from .platonic import *
+from .pslgroups import *
+from .report import *
+from .surfacecore import *
 
 __version__ = "0.1.0"
 

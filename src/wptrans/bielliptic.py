@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .orbitweights import TransitivityStatus, TransitivityVerdict
-from .surfacecore import check
+from .surfacecore import check, total_weight
 
 __all__ = [
     "kato_max_weight",
@@ -108,7 +108,7 @@ def garcia_transitivity_test(g):
     if g < 11:
         raise ValueError("the bi-elliptic argument needs g >= 11, got %r" % (g,))
     window = bielliptic_window(g)
-    total = g ** 3 - g
+    total = total_weight(g)
     surviving = [w for w in window.candidates if w > 0 and total % w == 0]
     kato_cite = ("Kato: a bi-elliptic surface of genus >= 11 has a point of weight "
                  "%d or %d" % window.candidates)
@@ -160,7 +160,7 @@ def scan_nontransitive(g_from, g_to):
         raise ValueError("need 11 <= g_from <= g_to, got (%r, %r)" % (g_from, g_to))
     survivors = []
     for g in range(g_from, min(g_to, _CERTIFIED_FROM - 1) + 1):
-        total = g ** 3 - g
+        total = total_weight(g)
         if any(total % w == 0 for w in bielliptic_window(g).candidates):
             survivors.append(g)
     return survivors

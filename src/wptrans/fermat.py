@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .orbitweights import TransitivityStatus, TransitivityVerdict
-from .surfacecore import check
+from .surfacecore import check, total_weight
 
 __all__ = [
     "PointClass",
@@ -155,8 +155,6 @@ def orbit_enumerate(n, seed):
     """
     if seed.kind is PointClass.TRIVIAL and n < 4:
         raise ValueError("trivial-point orbits need n >= 4")
-    if seed.kind is PointClass.LEOPOLDT and n < 5:
-        raise ValueError("no Leopoldt points for n < 5")
     if seed.n != n:
         raise ValueError("seed is a point of F_%d, not F_%d" % (seed.n, n))
     return 3 * n if seed.kind is PointClass.TRIVIAL else 3 * n * n
@@ -204,7 +202,7 @@ def weight_accounting(n):
     if n < 4:
         raise ValueError("accounting needs n >= 4 (F_3 has genus 1), got %r" % (n,))
     genus = fermat_genus(n)
-    total = genus ** 3 - genus
+    total = total_weight(genus)
     t_count, t_weight = 3 * n, trivial_point_weight(n)
     if n >= 5:
         l_count = 3 * n * n

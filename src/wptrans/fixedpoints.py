@@ -72,15 +72,23 @@ def is_prime(m):
 
 
 def _root(q, n):
-    """The integer n-th root of q >= 1: the largest r with r**n <= q."""
+    """The integer n-th root of q >= 1: the largest r with r**n <= q.
+
+    From any r above the root, the integer Newton step
+    ((n-1) r + q // r**(n-1)) // n falls strictly and, by AM-GM, not
+    below the root; at the root it does not fall.  So start above it,
+    at 2**ceil(bits/n), and stop when the step stops falling.
+    """
     if n == 1:
         return q
-    r = isqrt(q) if n == 2 else round(q ** (1.0 / n))
-    while r ** n > q:
-        r -= 1
-    while (r + 1) ** n <= q:
-        r += 1
-    return r
+    if n == 2:
+        return isqrt(q)
+    r = 1 << -(-q.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + q // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
 
 
 def prime_power(q):

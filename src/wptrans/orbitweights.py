@@ -33,7 +33,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .surfacecore import InvariantError, check, total_weight
+from .surfacecore import InvariantError, _check_genus, check, total_weight
 
 __all__ = [
     "OrbitProfile",
@@ -296,14 +296,18 @@ def _residue_table(reduced):
     each from its least entry, in O(k a) steps.
     """
     a = reduced[-1]
-    least = [0] + [math.inf] * (a - 1)
+    # a least value, over all the coefficients or any prefix of them, sums at
+    # most a - 1 of them (a longer sum has a sub-sum divisible by a to drop),
+    # so it is below a * reduced[0], which marks a class not reached yet
+    unset = a * reduced[0]
+    least = [0] + [unset] * (a - 1)
     pred = [None] * a
     for i, c in enumerate(reduced[:-1]):
         cycles = math.gcd(a, c)
         for p in range(cycles):
             rho = min(range(p, a, cycles), key=least.__getitem__)
             value = least[rho]
-            if value == math.inf:
+            if value == unset:
                 continue
             for _ in range(a // cycles - 1):
                 value += c
@@ -312,7 +316,7 @@ def _residue_table(reduced):
                     value = least[rho]
                 else:
                     least[rho], pred[rho] = value, i
-    check(math.inf not in least, "residue table of %r has an empty class" % (reduced,))
+    check(unset not in least, "residue table of %r has an empty class" % (reduced,))
     return tuple(least), tuple(pred)
 
 
@@ -499,16 +503,11 @@ def necessary_weight(group_order, stabilizer_order, g):
     """
     if group_order < 1 or stabilizer_order < 1:
         raise ValueError("orders must be positive")
-    numerator = stabilizer_order * total_weight(_at_least(g, 2))
+    _check_genus(g, 2, "necessary weight")
+    numerator = stabilizer_order * total_weight(g)
     if numerator % group_order != 0:
         return None
     return numerator // group_order
-
-
-def _at_least(g, minimum):
-    if g < minimum:
-        raise ValueError("genus must be >= %d, got %r" % (minimum, g))
-    return g
 
 
 def hurwitz_divisibility(g):
@@ -520,7 +519,7 @@ def hurwitz_divisibility(g):
     An empty set rules transitivity out; a nonempty set is merely
     inconclusive.
     """
-    _at_least(g, 2)
+    _check_genus(g, 2, "Hurwitz divisibility")
     return {m for m in (7, 3, 2) if (m * g * (g + 1)) % 84 == 0}
 
 

@@ -16,7 +16,7 @@ with genus multiset {1, 2, 3, 5, 5, 9, 14}.
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .surfacecore import RegularMapDescriptor, check, double_cover_genus, validate_map
 
@@ -289,14 +289,9 @@ def double_cover(base, locus):
         return _edge_cover(base)
     if locus is BranchLocus.FACE_CENTRES:
         result = _vertex_cover(dual(base))
-        return CoverResult(
-            result.base, BranchLocus.FACE_CENTRES, result.genus,
-            cover_type=result.cover_type, V=result.V, E=result.E, F=result.F,
-            aut=result.aut, transitive_on_wp=result.transitive_on_wp,
-            notes=result.notes + (
-                "face-centre branching of %s realized as the vertex cover of its dual %s"
-                % (base.label, result.base.label),),
-        )
+        return replace(result, locus=BranchLocus.FACE_CENTRES, notes=result.notes + (
+            "face-centre branching of %s realized as the vertex cover of its dual %s"
+            % (base.label, result.base.label),))
     raise ValueError("unknown branch locus %r" % (locus,))
 
 

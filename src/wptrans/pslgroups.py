@@ -26,7 +26,7 @@ fixed-point counts they quote are computed, but facts like the
 maximality of the (2,3,7) triangle group are recorded, not re-derived.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 from typing import NamedTuple
 
@@ -38,12 +38,11 @@ from .orbitweights import (
     orbit_profile,
     solve_weight_equation,
 )
-from .surfacecore import check
+from .surfacecore import check, total_weight
 
 __all__ = [
     "FiniteField",
     "field_build",
-    "prime_power",
     "psl2_order",
     "OrderCensus",
     "order_census",
@@ -362,34 +361,29 @@ def psl2q_transitivity_verdict(q, t):
         order = psl2_order(q)
         genus = hurwitz_genus(order)
         profile = orbit_profile(order, (2, 3, 7))
-        sols = solve_weight_equation(profile.orbit_sizes, genus ** 3 - genus)
+        sols = solve_weight_equation(profile.orbit_sizes, total_weight(genus))
         verdict = classify(sols, profile=profile)
         check(verdict.status is TransitivityStatus.TRANSITIVE,
               "weight equation for q = %d, t = 7 is not transitive" % q)
         surface = "Klein quartic (genus 3)" if q == 7 else "Macbeath surface (genus 7)"
-        return TransitivityVerdict(
-            verdict.status, verdict.orbit_count_range,
-            verdict.reasons + ("weight-equation counting argument on the %s" % surface,),
-            verdict.guaranteed_orbits)
+        return replace(verdict, reasons=verdict.reasons + (
+            "weight-equation counting argument on the %s" % surface,))
 
     if q == 13 and t == 7:
         profile = orbit_profile(1092, (2, 3, 7))
-        sols = solve_weight_equation(profile.orbit_sizes, 14 ** 3 - 14)
+        sols = solve_weight_equation(profile.orbit_sizes, total_weight(14))
         verdict = classify(sols, zero_indices=(0, 1), profile=profile)
         check(verdict.status is TransitivityStatus.UNDECIDED
               and verdict.orbit_count_range == (1, 2),
               "masked weight equation for q = 13, t = 7 is not undecided on 1..2 orbits")
-        return TransitivityVerdict(
-            verdict.status, verdict.orbit_count_range,
-            verdict.reasons + (
-                "Streit: vertices and face-centres of the genus-14 Hurwitz surfaces "
-                "are not Weierstrass points, so w1 = w2 = 0",
-                "the 546 edge-centres are Weierstrass points in every surviving case",
-                "genus note: the surface of the order-1092 Hurwitz action has genus "
-                "14 (1092 = 84*13); a stray genus value of 13 sometimes quoted for "
-                "it is inconsistent with the weight total 2730 = 14^3-14",
-            ),
-            verdict.guaranteed_orbits)
+        return replace(verdict, reasons=verdict.reasons + (
+            "Streit: vertices and face-centres of the genus-14 Hurwitz surfaces "
+            "are not Weierstrass points, so w1 = w2 = 0",
+            "the 546 edge-centres are Weierstrass points in every surviving case",
+            "genus note: the surface of the order-1092 Hurwitz action has genus "
+            "14 (1092 = 84*13); a stray genus value of 13 sometimes quoted for "
+            "it is inconsistent with the weight total 2730 = 14^3-14",
+        ))
 
     return TransitivityVerdict(
         TransitivityStatus.UNDECIDED, (1, 4), (
@@ -413,7 +407,5 @@ def modular_surface_verdict(p):
                 "X(5) has genus 0: no Weierstrass points, the question is void",
             ))
     verdict = psl2q_transitivity_verdict(p, p)
-    return TransitivityVerdict(
-        verdict.status, verdict.orbit_count_range,
-        verdict.reasons + ("X(%d) = X_{%d,%d}: the modular surface of level %d" % (p, p, p, p),),
-        verdict.guaranteed_orbits)
+    return replace(verdict, reasons=verdict.reasons + (
+        "X(%d) = X_{%d,%d}: the modular surface of level %d" % (p, p, p, p),))

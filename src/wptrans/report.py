@@ -316,6 +316,10 @@ def _orbit_weights(order, periods, target, mask=()):
     mask = tuple(mask)
     profile = orbitweights.orbit_profile(order, periods)
     sols = orbitweights.solve_weight_equation(profile.orbit_sizes, target)
+    orbits = len(profile.orbit_sizes)
+    if max(mask, default=0) >= orbits:
+        raise ValueError("--mask w%d is out of range: there are %d orbits, w1 to w%d"
+                         % (max(mask) + 1, orbits, orbits))
     verdict = orbitweights.classify(sols, zero_indices=mask, profile=profile)
     solutions = [list(v) for v in sols.solutions]
     survivors = sols.solutions
@@ -548,7 +552,7 @@ COMMANDS = {
          "Accola-Maclachlan: minimal maximal automorphism group order 8(g+1)"),
         {"rows": "paper-derived"}),
     "census": Command(
-        "brute-force element order census of PSL(2,q)",
+        "element-order census of PSL(2,q) by trace class size",
         (Param("--q", "q"),),
         _census,
         ("Dickson: element orders in PSL(2,q) divide p, (q-1)/gcd(2,q-1), "

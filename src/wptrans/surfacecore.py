@@ -66,7 +66,7 @@ def weierstrass_count_bounds(g):
     generic simple-point count.
     """
     _check_genus(g, 2, "Weierstrass point count bounds")
-    return (2 * g + 2, g * g * g - g)
+    return (2 * g + 2, total_weight(g))
 
 
 def double_cover_genus(branch_point_count):

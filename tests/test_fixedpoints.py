@@ -1,8 +1,11 @@
 """Macbeath's fixed-point counts and the Schoeneberg criterion."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wptrans.fixedpoints import (
+    PRIME_TEST_BOUND,
+    _root,
     cyclic_fixed_points,
     is_realizable_order,
     psl2q_fixed_points,
@@ -121,3 +124,22 @@ def test_hurwitz_candidates_above_15_have_many_fixed_points():
     for q in (27, 29, 41, 43, 71, 83, 97):
         assert psl2q_fixed_points(q, (2, 3, 7), 2) > 4
         assert psl2q_fixed_points(q, (2, 3, 7), 3) > 4
+
+
+def _assert_floor_root(q, n):
+    r = _root(q, n)
+    assert r ** n <= q < (r + 1) ** n, (q, n, r)
+
+
+def test_root_at_exact_powers():
+    for n in range(2, 90):
+        for r in (2, 3, 43, 10 ** 6 + 3):
+            q = r ** n
+            for m in (q - 1, q, q + 1):
+                _assert_floor_root(m, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, PRIME_TEST_BOUND - 1), st.integers(2, 89))
+def test_root_below_the_prime_test_bound(q, n):
+    _assert_floor_root(q, n)

@@ -191,6 +191,13 @@ def test_cli_value_error_is_exit_2(capsys):
     assert main(["modular", "--p", "6"]) == 2
 
 
+def test_cli_mask_out_of_range_names_the_coordinate(capsys):
+    assert main(["orbit-weights", "--order", "168", "--periods", "2,3,7",
+                 "--target", "24", "--mask", "w5=0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --mask w5 is out of range: there are 4 orbits, w1 to w4\n")
+
+
 def test_cli_assertion_error_is_exit_3(monkeypatch, capsys):
     def boom(request):
         raise AssertionError("synthetic failure")

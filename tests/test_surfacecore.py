@@ -2,6 +2,7 @@
 
 import ast
 import glob
+import importlib
 import os
 
 import pytest
@@ -153,11 +154,52 @@ MODULES = sorted(os.path.basename(path)[:-3] for path in glob.glob(
     os.path.join(os.path.dirname(wptrans.__file__), "*.py")))
 
 
+def _syntax_tree(module):
+    path = os.path.join(os.path.dirname(wptrans.__file__), module + ".py")
+    with open(path) as handle:
+        return ast.parse(handle.read(), path)
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_bare_assert(module):
     # python -O strips assert statements; no module may rely on any
-    path = os.path.join(os.path.dirname(wptrans.__file__), module + ".py")
-    with open(path) as handle:
-        tree = ast.parse(handle.read(), path)
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    lines = [node.lineno for node in ast.walk(_syntax_tree(module))
+             if isinstance(node, ast.Assert)]
     assert lines == [], "%s.py has bare asserts on lines %s" % (module, lines)
+
+
+def _is_float(node):
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (float, complex))
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.Div)
+    if isinstance(node, ast.Attribute):
+        return (isinstance(node.value, ast.Name) and node.value.id == "math"
+                and node.attr in ("inf", "nan"))
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "math" and any(
+            alias.name in ("inf", "nan") for alias in node.names)
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id in ("float", "round")
+    return False
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_has_no_float(module):
+    # the package promises integer and Fraction arithmetic only
+    lines = [node.lineno for node in ast.walk(_syntax_tree(module)) if _is_float(node)]
+    assert lines == [], "%s.py uses floating point on lines %s" % (module, lines)
+
+
+def test_package_exports_every_module_all():
+    declared = {}
+    for module in MODULES:
+        if module in ("__init__", "cli"):
+            continue
+        library = importlib.import_module("wptrans." + module)
+        for name in library.__all__:
+            assert name not in declared, "%s is declared in %s and %s" % (
+                name, declared[name], module)
+            declared[name] = module
+            assert name in wptrans.__all__, name
+            assert getattr(wptrans, name) is getattr(library, name), name
