@@ -15,12 +15,13 @@ this equation say "positive integers" but contain zeros; the solver
 enumerates nonnegative vectors, which is what the data means.
 
 Counts and verdicts take time independent of the target: a count is a
-quasi-polynomial in the target (Beck & Robins), and a support's
-feasibility is read from a residue table (Boecker & Liptak), both
-cached per coefficient tuple reduced by its gcd.  For a triangle action
-that tuple depends only on the periods, so every genus of a signature
-shares them.  The prefix walk is left for small inputs only; see _count
-and _one_solution for the bounds.
+quasi-polynomial in the target (Beck & Robins), cached per coefficient
+tuple reduced by its gcd, and a support is feasible exactly when the
+count of the solutions nonzero exactly on it is positive.  For a
+triangle action that tuple depends only on the periods, so every genus
+of a signature shares them.  Below the quasi-polynomial's range the
+count walks the prefixes with equal remainders merged, at a cost
+polynomial in the equation's width; see _count and _walk_count.
 
 This module also carries the necessary-condition arithmetic
 w = |G_p| (g^3 - g) / |G| and the simple-point elimination chain.
@@ -100,6 +101,11 @@ class OrbitProfile:
               "orbit size must divide the group order")
 
 
+def _integers(*values):
+    # bool is an int subclass, but True is no orbit size or weight
+    return all(isinstance(v, int) and not isinstance(v, bool) for v in values)
+
+
 def orbit_profile(group_order, periods):
     """Profile for a map action: one orbit per period plus the free orbit.
 
@@ -107,6 +113,10 @@ def orbit_profile(group_order, periods):
     are (24, 56, 84, 168): 168/7 vertices-or-faces first, the free
     orbit of size 168 last.
     """
+    periods = tuple(periods)
+    if not _integers(group_order, *periods):
+        raise ValueError("group order and periods must be integers, got %r and %r"
+                         % (group_order, periods))
     if group_order < 1:
         raise ValueError("group order must be positive")
     stabs = sorted(periods, reverse=True)
@@ -132,6 +142,9 @@ class WeightEquationSolutionSet:
     target: int
 
     def __post_init__(self):
+        if not _integers(*self.coefficients, self.target):
+            raise ValueError("coefficients and target must be integers, got %r and %r"
+                             % (self.coefficients, self.target))
         if not self.coefficients or any(c < 1 for c in self.coefficients):
             raise ValueError("coefficients must be positive integers")
         if self.target < 0:
@@ -143,15 +156,31 @@ class WeightEquationSolutionSet:
 
     @functools.cached_property
     def supports(self):
-        """Every feasible support, by size and then lex: the sorted index
-        tuples S for which some solution is nonzero exactly on S.
+        """Every feasible support with its number of solutions, by size and
+        then lex: a dict from each sorted index tuple S for which some
+        solution is nonzero exactly on S to the number of such solutions.
 
-        Each is decided once per set by a checked witness (see _witness),
-        so classifications of one set under different masks share them.
+        w_j = u_j + 1 on S turns those solutions into the nonnegative
+        solutions u of sum_S c_j u_j = target - sum_S c_j, so each support
+        costs one _count, once per set: classifications of one set under
+        different masks share them.  Every solution has exactly one
+        support, so the counts must sum to count; that is checked.
         """
-        n = len(self.coefficients)
-        return tuple(s for size in range(n + 1) for s in itertools.combinations(range(n), size)
-                     if _witness(self.coefficients, self.target, s) is not None)
+        coeffs, target = self.coefficients, self.target
+        n = len(coeffs)
+        counts = {}
+        for size in range(n + 1):
+            for s in itertools.combinations(range(n), size):
+                sub = [coeffs[j] for j in s]
+                rest = target - sum(sub)
+                if rest >= 0:
+                    found = _count(sub, rest)
+                    if found:
+                        counts[s] = found
+        total = sum(counts.values())
+        check(total == self.count, "support counts sum to %d, not to the count %d"
+              % (total, self.count))
+        return counts
 
     @functools.cached_property
     def solutions(self):
@@ -225,16 +254,28 @@ def _solutions(coeffs, target):
 
 
 def _walk_count(coeffs, target):
-    """Number of nonnegative solutions, by walking the prefixes.
+    """Number of nonnegative solutions, by walking the prefixes a layer
+    at a time.
 
     coeffs is a descending tuple of width >= 2, as _count and
     _differences pass it: the largest coefficients go outermost, where
-    they have the fewest prefixes, and each prefix adds the length of
+    they have the fewest steps.  Each outer coordinate takes every
+    remainder r left so far to r, r - c, r - 2c, ..., and the prefixes
+    that leave the same remainder are merged into one entry with their
+    multiplicity, so a layer holds at most target + 1 entries whatever
+    the width.  Each entry then adds its multiplicity times the length of
     the last pair's range.  The walk's length grows with the target;
     _count calls it only below a bound set by the coefficients.
     """
+    layer = {target: 1}
+    for c in coeffs[:-2]:
+        below = {}
+        for r, m in layer.items():
+            for rest in range(r, -1, -c):
+                below[rest] = below.get(rest, 0) + m
+        layer = below
     weights = _last_pair(*coeffs[-2:])
-    return sum(len(weights(r)) for _, r in _prefixes(coeffs[:-2], target))
+    return sum(m * len(weights(r)) for r, m in layer.items())
 
 
 def _count(coeffs, target):
@@ -246,7 +287,8 @@ def _count(coeffs, target):
     k = len(c), whose period divides L = lcm(c) (Beck & Robins,
     Computing the Continuous Discretely, ch. 1): on each class
     t = rho + qL it is a polynomial in q.  Below t = kL the prefix walk
-    counts directly, at a cost set by c alone.  From there on the count is
+    counts directly, at a cost set by c alone and polynomial in k (see
+    _walk_count).  From there on the count is
     Newton's forward-difference series sum_j D^j comb(q, j) through the
     walked counts at q = 0 .. k-1 of the same class (see _differences),
     in integers only.
@@ -281,124 +323,16 @@ def _differences(reduced, rho):
     return tuple(deltas)
 
 
-@functools.lru_cache(maxsize=64)
-def _residue_table(reduced):
-    """Boecker & Liptak's residue table of a descending tuple with gcd 1.
-
-    For the smallest coefficient a = reduced[-1], least[rho] is the least
-    value congruent to rho mod a that the other coefficients represent,
-    and pred[rho] the index of a coefficient whose removal leads to the
-    least value of another class, so the classes chain down to 0.  A
-    value is representable by reduced exactly when it is at least its
-    class's entry.  Built by their round robin (A fast and simple
-    algorithm for the money changing problem, Algorithmica 48, 2007):
-    each coefficient c walks the gcd(a, c) cycles of rho -> rho + c mod a,
-    each from its least entry, in O(k a) steps.
-    """
-    a = reduced[-1]
-    # a least value, over all the coefficients or any prefix of them, sums at
-    # most a - 1 of them (a longer sum has a sub-sum divisible by a to drop),
-    # so it is below a * reduced[0], which marks a class not reached yet
-    unset = a * reduced[0]
-    least = [0] + [unset] * (a - 1)
-    pred = [None] * a
-    for i, c in enumerate(reduced[:-1]):
-        cycles = math.gcd(a, c)
-        for p in range(cycles):
-            rho = min(range(p, a, cycles), key=least.__getitem__)
-            value = least[rho]
-            if value == unset:
-                continue
-            for _ in range(a // cycles - 1):
-                value += c
-                rho = (rho + c) % a
-                if least[rho] <= value:
-                    value = least[rho]
-                else:
-                    least[rho], pred[rho] = value, i
-    check(unset not in least, "residue table of %r has an empty class" % (reduced,))
-    return tuple(least), tuple(pred)
-
-
-# the largest residue table built: about 3.4 MB and 0.1 s at this size,
-# so the bounded cache of tables stays bounded in memory too
-_TABLE_LIMIT = 2 ** 16
-
-
-def _one_solution(coeffs, target):
-    """One nonnegative solution of sum c_j u_j = target, or None.
-
-    coeffs is sorted descending.  A width of at most two costs one
-    division or one pair, so it is walked.  Otherwise divide by
-    d = gcd(c) (none unless d divides the target) and read the reduced
-    equation's residue table (see _residue_table): the target is
-    representable when it is at least its class's entry, and then the
-    predecessor chain from that entry, topped up with the smallest
-    coefficient, is a solution.  The table costs O(k a) steps and a
-    entries once, for the smallest reduced coefficient a, so it is built
-    only when a is below both _TABLE_LIMIT and the number of prefixes
-    the walk may visit, prod_j (t // c_j + 1) over all but the last two
-    coefficients; otherwise the walk is used.
-    """
-    if target < 0:
-        return None
-    if len(coeffs) >= 3:
-        d = math.gcd(*coeffs)
-        if target % d:
-            return None
-        reduced = tuple(c // d for c in coeffs)
-        t = target // d
-        a = reduced[-1]
-        if a < _TABLE_LIMIT and a < math.prod(t // c + 1 for c in reduced[:-2]):
-            least, pred = _residue_table(reduced)
-            rho = t % a
-            if t < least[rho]:
-                return None
-            u = [0] * len(reduced)
-            u[-1] = (t - least[rho]) // a
-            value = least[rho]
-            while value > 0:  # the chain ends at 0; the check in _witness catches a miss
-                i = pred[rho]
-                u[i] += 1
-                value -= reduced[i]
-                rho = value % a
-            return tuple(u)
-    return next(_solutions(coeffs, target), None)
-
-
-def _witness(coeffs, target, support):
-    """A solution nonzero exactly on support (sorted indices), or None.
-
-    w_j = u_j + 1 on the support turns it into one nonnegative solution
-    u of sum_S c_j u_j = target - sum_S c_j, with the largest
-    coefficients first (see _one_solution).  The witness found is
-    checked against the original equation.
-    """
-    order = sorted(support, key=coeffs.__getitem__, reverse=True)
-    sub = tuple(coeffs[j] for j in order)
-    u = _one_solution(sub, target - sum(sub))
-    if u is None:
-        return None
-    v = [0] * len(coeffs)
-    for j, uj in zip(order, u):
-        v[j] = uj + 1
-    # once per support: the message is formatted only on failure
-    if (sum(map(operator.mul, coeffs, v)) != target
-            or tuple(j for j, w in enumerate(v) if w) != support):
-        raise InvariantError("witness %r for support %r fails the equation" % (v, support))
-    return tuple(v)
-
-
 def solve_weight_equation(coefficients, target):
     """The nonnegative integer solutions of sum c_j w_j = target.
 
     Builds the solution set, which validates the equation; nothing is
     enumerated here.  The set's count is a quasi-polynomial in the target
-    (see _count), and its supports are decided from residue tables (see
-    _one_solution).  Its solutions are listed on first read, lex sorted, by
-    a search that solves the last pair instead of searching it, so it
-    visits only solutions (see _solutions), and the listing is
-    re-verified exactly then.  An empty set is a valid answer.
+    (see _count), and each support's share of it is one more count (see
+    WeightEquationSolutionSet.supports).  Its solutions are listed on
+    first read, lex sorted, by a search that solves the last pair instead
+    of searching it, so it visits only solutions (see _solutions), and the
+    listing is re-verified exactly then.  An empty set is a valid answer.
     """
     return WeightEquationSolutionSet(tuple(coefficients), target)
 
@@ -414,13 +348,13 @@ def classify(sol_set, zero_indices=(), profile=None):
 
     The verdict is decided from the equation, and the set is not listed.
     A support S (a set of coordinates) is feasible when some solution is
-    nonzero exactly on S; a checked witness decides it (see _witness),
-    once per set (sol_set.supports).  The surviving solutions are those
-    whose support avoids the mask, so their support sizes and the
-    coordinates common to all of them come from the feasible supports
-    that avoid the mask.  A singleton support
-    {j} carries the single weight target / c_j.  The mask reason's
-    "%d of %d" are the counts of the masked and of the full equation.
+    nonzero exactly on S, that is when its count in sol_set.supports is
+    positive; the counts are taken once per set.  The surviving solutions
+    are those whose support avoids the mask, so their support sizes, the
+    coordinates common to all of them and their number come from the
+    feasible supports that avoid the mask.  A singleton support {j}
+    carries the single weight target / c_j.  The mask reason's "%d of %d"
+    are the surviving supports' counts summed and the full count.
 
     Verdicts:
       - every surviving solution concentrated on one and the same
@@ -449,10 +383,10 @@ def classify(sol_set, zero_indices=(), profile=None):
 
     reasons = []
     if mask:
-        kept = tuple(c for j, c in enumerate(coeffs) if j not in mask)
         reasons.append(
             "mask forces w%s = 0; %d of %d solutions survive"
-            % (",w".join(str(i + 1) for i in mask), _count(kept, target), sol_set.count)
+            % (",w".join(str(i + 1) for i in mask), sum(supports[s] for s in survivors),
+               sol_set.count)
         )
 
     sizes = [len(s) for s in survivors]

@@ -279,9 +279,9 @@ def _cover_dict(cover):
 # grows with --max-genus; 10^4 genera are about 5 MB of text, 7 MB of JSON
 HYPERELLIPTIC_MAX_GENUS = 10_000
 
-# classify decides each of the 2^(r+1) supports of r periods plus the free
-# orbit, about 4.5x more work per two more periods; at 12 an unmasked
-# classify takes ~0.1 s at any target
+# classify counts each of the 2^(r+1) supports of r periods plus the free
+# orbit, masked or not; at 12 periods of 2 that takes ~0.1 s at any target,
+# longer where the orbit sizes have a large lcm (see orbitweights._count)
 ORBIT_WEIGHTS_MAX_PERIODS = 12
 
 

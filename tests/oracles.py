@@ -69,21 +69,6 @@ def brute_witness(coefficients, target, support):
     return tuple(vec) if search(0, target) else None
 
 
-def brute_least_in_classes(coefficients):
-    """For a = min(coefficients), the least value in each residue class
-    mod a that a nonnegative combination of coefficients reaches.
-
-    Marks the reachable values 0 .. a * max(coefficients) one at a time
-    (v is reachable when v - c is, for some c), then takes the first
-    marked value of each class; None where the range holds none.
-    """
-    a, top = min(coefficients), min(coefficients) * max(coefficients)
-    reached = [True] + [False] * top
-    for v in range(1, top + 1):
-        reached[v] = any(v >= c and reached[v - c] for c in coefficients)
-    return [next((v for v in range(r, top + 1, a) if reached[v]), None) for r in range(a)]
-
-
 def brute_classify(sol_set, zero_indices=(), profile=None):
     """The library's earlier classify, kept as written: it filters a copy
     of the solutions, builds every survivor's support tuple, and tests a

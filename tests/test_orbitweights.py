@@ -1,5 +1,6 @@
 """The weight equation: profiles, solver, classification, necessary weight."""
 
+import collections
 import itertools
 import math
 import os
@@ -27,7 +28,6 @@ from wptrans.surfacecore import InvariantError
 
 from oracles import (
     brute_classify,
-    brute_least_in_classes,
     brute_weight_solutions,
     brute_witness,
     oracle_cost,
@@ -74,6 +74,21 @@ def test_solver_rejects_bad_input():
         WeightEquationSolutionSet((3,), -3)
     with pytest.raises(ValueError):
         WeightEquationSolutionSet((0, 2), 4)
+
+
+def test_inputs_must_be_integers():
+    # a float passes every range check and would come back as float
+    # "solutions" or orbit sizes; a bool is an int, but no size or weight
+    for coefficients, target in (([2.5], 5), ([2], 5.0), ([True, 2], 4), ([2], False)):
+        with pytest.raises(ValueError) as caught:
+            solve_weight_equation(coefficients, target)
+        assert str(caught.value) == "coefficients and target must be integers, got %r and %r" % (
+            tuple(coefficients), target)
+    for order, periods in ((168.0, (2, 3, 7)), (168, (2, 3, 7.0)), (True, ())):
+        with pytest.raises(ValueError) as caught:
+            orbit_profile(order, periods)
+        assert str(caught.value) == "group order and periods must be integers, got %r and %r" % (
+            order, periods)
 
 
 ORACLE_BUDGET = 20_000
@@ -140,6 +155,30 @@ def test_solution_set_rejects_false_solutions(monkeypatch):
         assert str(caught.value) == message
 
 
+def _python(code, *options, timeout=None):
+    """The stdout of code run by a fresh interpreter on this wptrans."""
+    src = os.path.dirname(os.path.dirname(wptrans.__file__))
+    done = subprocess.run([sys.executable, *options, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=timeout)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# PSL13 has ten solutions; a count of 11 cannot be split among its supports
+PARTITION_ERROR = "support counts sum to 10, not to the count 11"
+
+
+def test_support_counts_must_sum_to_the_count():
+    # every solution has exactly one support, so the support counts
+    # partition the count, and a wrong count is caught when supports is read
+    sol = solve_weight_equation(*PSL13)
+    sol.__dict__["count"] = 11
+    with pytest.raises(InvariantError) as caught:
+        sol.supports
+    assert str(caught.value) == PARTITION_ERROR
+
+
 def test_solution_set_check_survives_optimize():
     # python -O strips bare asserts; the self-checks must still raise
     code = ("from wptrans import orbitweights\n"
@@ -149,13 +188,15 @@ def test_solution_set_check_survives_optimize():
             "    try:\n"
             "        orbitweights.solve_weight_equation(coefficients, target).solutions\n"
             "    except InvariantError as exc:\n"
-            "        print('raised:', exc)\n" % (FALSE_LISTINGS,))
-    src = os.path.dirname(os.path.dirname(wptrans.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "".join("raised: %s\n" % m for m in FALSE_LISTING_ERRORS)
+            "        print('raised:', exc)\n"
+            "sol = orbitweights.solve_weight_equation(%r, %r)\n"
+            "sol.__dict__['count'] = 11\n"
+            "try:\n"
+            "    sol.supports\n"
+            "except InvariantError as exc:\n"
+            "    print('raised:', exc)\n" % (FALSE_LISTINGS, *PSL13))
+    assert _python(code, "-O") == "".join(
+        "raised: %s\n" % m for m in FALSE_LISTING_ERRORS + (PARTITION_ERROR,))
 
 
 def _outcome(classifier, sol_set, mask, profile):
@@ -184,17 +225,20 @@ def _supports(n):
 def test_classify_matches_brute_oracle(coefficients, data):
     # every mask subset, plus one index out of range; with or without a
     # profile; the oracle reads the full listing, classify the equation.
-    # Every support's witness (a residue table's from width 3 on) agrees
-    # with the depth-first oracle, and every masked count with the listing
+    # A support is counted feasible exactly when the depth-first oracle
+    # finds a witness, every support count and masked count agrees with
+    # the listing, and supports run by size and then lex
     target = data.draw(st.integers(0, _max_target(coefficients, ORACLE_BUDGET)))
     sol_set = solve_weight_equation(coefficients, target)
     listing = brute_weight_solutions(coefficients, target)
     assert sol_set.count == len(listing)
     n = len(coefficients)
     for support in _supports(n):
-        found = orbitweights._witness(sol_set.coefficients, target, support)
-        assert (found is None) == (brute_witness(coefficients, target, support) is None), support
-    assert set(sol_set.supports) == {tuple(j for j, w in enumerate(v) if w) for v in listing}
+        assert (support in sol_set.supports) == (
+            brute_witness(coefficients, target, support) is not None), support
+    tally = collections.Counter(tuple(j for j, w in enumerate(v) if w) for v in listing)
+    assert dict(sol_set.supports) == dict(tally)
+    assert list(sol_set.supports) == sorted(tally, key=lambda s: (len(s), s))
     profile = None
     if data.draw(st.booleans()):
         # classify reads only stabilizer_orders, to flag the free orbit
@@ -209,22 +253,6 @@ def test_classify_matches_brute_oracle(coefficients, data):
     for mask in masks + [(n,)]:
         assert (_outcome(classify, sol_set, mask, profile)
                 == _outcome(brute_classify, sol_set, mask, profile)), mask
-
-
-def test_residue_tables_match_oracle():
-    # every descending tuple with gcd 1 of width 2 to 4 from 1..12: the
-    # round robin's least entries, and each predecessor chain steps down
-    # to a smaller entry of the class one coefficient lower
-    for width in (2, 3, 4):
-        for combo in itertools.combinations_with_replacement(range(12, 0, -1), width):
-            if math.gcd(*combo) != 1:
-                continue
-            least, pred = orbitweights._residue_table(combo)
-            assert list(least) == brute_least_in_classes(combo), combo
-            a = combo[-1]
-            for rho in range(1, a):
-                down = least[rho] - combo[pred[rho]]
-                assert least[down % a] == down, (combo, rho)
 
 
 @pytest.mark.parametrize("coefficients", [
@@ -301,23 +329,22 @@ def test_classify_hurwitz_genera_past_any_walk(genus, count, masked_count):
 
 
 def _prefix_walks(monkeypatch, genus):
-    """_prefixes calls made by classify, plain and under every mask, from
-    empty caches, for the (2,3,7) action of that genus."""
+    """_walk_count calls made by classify, plain and under every mask, from
+    an empty cache, for the (2,3,7) action of that genus."""
     orbitweights._differences.cache_clear()
-    orbitweights._residue_table.cache_clear()
     calls = []
-    walk = orbitweights._prefixes
+    walk = orbitweights._walk_count
 
     def counted(*args):
         calls.append(args)
         return walk(*args)
 
-    monkeypatch.setattr(orbitweights, "_prefixes", counted)
+    monkeypatch.setattr(orbitweights, "_walk_count", counted)
     profile = orbit_profile(84 * (genus - 1), (2, 3, 7))
     sol = solve_weight_equation(profile.orbit_sizes, genus ** 3 - genus)
     for mask in _supports(3):
         _outcome(classify, sol, mask, profile)
-    monkeypatch.setattr(orbitweights, "_prefixes", walk)
+    monkeypatch.setattr(orbitweights, "_walk_count", walk)
     return len(calls)
 
 
@@ -327,13 +354,9 @@ def test_classify_work_does_not_grow_with_the_genus(monkeypatch):
     assert 0 < walks < 100
 
 
-def test_large_coprime_periods_keep_the_walk(monkeypatch):
-    # the smallest reduced orbit size is 1009 * 1013, about 10^6: a residue
-    # table would cost more than the walk it replaces, so none is built
-    tables = []
-    build = orbitweights._residue_table
-    monkeypatch.setattr(orbitweights, "_residue_table",
-                        lambda reduced: tables.append(reduced) or build(reduced))
+def test_large_coprime_periods_keep_the_walk():
+    # lcm(c) is about 10^9 and the target 3 * 10^10, below k * lcm(c), so
+    # every support count of width 3 or more is walked
     n = 1009 * 1013 * 1019
     profile = orbit_profile(n, (1009, 1013, 1019))
     sol = solve_weight_equation(profile.orbit_sizes, 30 * n)
@@ -342,12 +365,41 @@ def test_large_coprime_periods_keep_the_walk(monkeypatch):
     assert time.perf_counter() - start < 1
     assert verdict.reasons[0] == "mask forces w1 = 0; 496 of 5456 solutions survive"
     assert (verdict.status, verdict.orbit_count_range) == (TransitivityStatus.UNDECIDED, (1, 3))
-    # past the walk's bound, a table of 2^16 entries or more is not built either
+    # lcm(c) is about 10^15: each support with all three coordinates is
+    # walked with about 3 * 10^5 steps outermost, and the support counts
+    # still sum to the count
     coeffs = (200_003, 100_003, 65_537)
-    target = 65_537 * 10 ** 6 + sum(coeffs)
-    assert orbitweights._witness(coeffs, target, (0, 1, 2)) is not None
-    assert 65_537 < target // coeffs[0]
-    assert tables == []
+    sol = solve_weight_equation(coeffs, 65_537 * 10 ** 6 + sum(coeffs))
+    assert sol.supports == {(0, 1): 4, (0, 2): 5, (1, 2): 10, (0, 1, 2): 1_638_360}
+    assert sol.count == 1_638_379
+
+
+WIDE = '''
+import time
+from wptrans.orbitweights import classify, orbit_profile, solve_weight_equation
+profile = orbit_profile(2, (2,) * 12)
+sol = solve_weight_equation(profile.orbit_sizes, 30)
+start = time.perf_counter()
+masked = classify(sol, zero_indices=range(11), profile=profile)
+print(time.perf_counter() - start < 1)
+print(masked.status.value, masked.orbit_count_range, masked.reasons[0])
+big = solve_weight_equation(profile.orbit_sizes, 10 ** 6)
+plain = classify(big, profile=profile)
+print(plain.status.value, plain.orbit_count_range, big.count)
+'''
+
+
+def test_width_costs_nothing_when_coefficients_repeat():
+    # twelve periods of 2 at order 2, the CLI's bound: orbit sizes twelve
+    # 1s and a 2.  Walking each prefix on its own takes minutes on this
+    # input, so the run has a timeout: a walk that slow fails, not hangs
+    fast, masked, plain = _python(WIDE, timeout=10).splitlines()
+    assert fast == "True"
+    assert masked == ("Undecided (1, 2) mask forces w1,w2,w3,w4,w5,w6,w7,w8,w9,w10,w11 = 0; "
+                      "16 of 6439831880 solutions survive")
+    t = 10 ** 6  # x_1 + ... + x_12 = t - 2w' has comb(t - 2w' + 11, 11) solutions
+    count = sum(math.comb(t - 2 * w + 11, 11) for w in range(t // 2 + 1))
+    assert plain == "Undecided (1, 13) %d" % count
 
 
 def test_classify_not_transitive_case():
