@@ -11,11 +11,10 @@ Nothing here claims a surface attains the candidate weights; only the
 refutation is mechanized.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .orbitweights import TransitivityStatus, TransitivityVerdict
-from .surfacecore import check, total_weight
+from .surfacecore import check, record, total_weight
 
 __all__ = [
     "kato_max_weight",
@@ -51,7 +50,7 @@ def kato_max_weight(g):
     return w
 
 
-@dataclass(frozen=True)
+@record
 class WeightWindow:
     """Kato's bi-elliptic criterion window for the weight of a witness point.
 

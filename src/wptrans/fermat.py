@@ -17,11 +17,10 @@ carries the marked coordinate through all three positions: each family
 is one orbit, and orbit_enumerate returns its size without walking it.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .orbitweights import TransitivityStatus, TransitivityVerdict
-from .surfacecore import check, total_weight
+from .surfacecore import check, record, total_weight
 
 __all__ = [
     "PointClass",
@@ -44,7 +43,7 @@ class PointClass(Enum):
     LEOPOLDT = "leopoldt"
 
 
-@dataclass(frozen=True)
+@record
 class FermatPoint:
     """Projective point in one of the two distinguished families.
 
@@ -160,7 +159,7 @@ def orbit_enumerate(n, seed):
     return 3 * n if seed.kind is PointClass.TRIVIAL else 3 * n * n
 
 
-@dataclass(frozen=True)
+@record
 class AccountingReport:
     """Weight ledger: trivial + Leopoldt contributions against g^3 - g."""
 

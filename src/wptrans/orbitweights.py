@@ -32,9 +32,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
-from .surfacecore import InvariantError, _check_genus, check, total_weight
+from .surfacecore import InvariantError, _check_genus, check, record, total_weight
 
 __all__ = [
     "OrbitProfile",
@@ -58,7 +57,7 @@ class TransitivityStatus(enum.Enum):
     UNDECIDED = "Undecided"
 
 
-@dataclass(frozen=True)
+@record
 class TransitivityVerdict:
     """Classification result with the facts that justify it.
 
@@ -82,7 +81,7 @@ class TransitivityVerdict:
             check(self.orbit_count_range == (1, 1), "transitive means exactly one orbit")
 
 
-@dataclass(frozen=True)
+@record
 class OrbitProfile:
     """Orbit sizes |G|/stabilizer for the geometric points, plus the free orbit.
 
@@ -128,7 +127,7 @@ def orbit_profile(group_order, periods):
     return OrbitProfile(group_order, tuple(stabs), sizes)
 
 
-@dataclass(frozen=True)
+@record
 class WeightEquationSolutionSet:
     """The nonnegative solutions of sum(c_j w_j) = target, listed on first read.
 
@@ -467,7 +466,7 @@ the right place to read M(g) from.
 """
 
 
-@dataclass(frozen=True)
+@record
 class SimplePointOutcome:
     genus: int
     survives: bool

@@ -16,9 +16,15 @@ with genus multiset {1, 2, 3, 5, 5, 9, 14}.
 """
 
 import enum
-from dataclasses import dataclass, replace
 
-from .surfacecore import RegularMapDescriptor, check, double_cover_genus, validate_map
+from .surfacecore import (
+    RegularMapDescriptor,
+    check,
+    double_cover_genus,
+    record,
+    replace,
+    validate_map,
+)
 
 __all__ = [
     "SphericalMap",
@@ -44,7 +50,7 @@ class BranchLocus(enum.Enum):
     EDGE_CENTRES = "edge-centres"
 
 
-@dataclass(frozen=True)
+@record
 class GroupDescriptor:
     """Symbolic group identity: a name and an order, optionally more.
 
@@ -59,7 +65,7 @@ class GroupDescriptor:
     note: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class SphericalMap:
     """A regular map on the sphere.
 
@@ -166,7 +172,7 @@ def dual(base):
     return _SOLIDS[name]
 
 
-@dataclass(frozen=True)
+@record
 class CoverResult:
     """A branched double cover of a spherical map.
 

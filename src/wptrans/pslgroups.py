@@ -26,7 +26,6 @@ fixed-point counts they quote are computed, but facts like the
 maximality of the (2,3,7) triangle group are recorded, not re-derived.
 """
 
-from dataclasses import dataclass, replace
 from math import gcd
 from typing import NamedTuple
 
@@ -38,7 +37,7 @@ from .orbitweights import (
     orbit_profile,
     solve_weight_equation,
 )
-from .surfacecore import check, total_weight
+from .surfacecore import check, record, replace, total_weight
 
 __all__ = [
     "FiniteField",
@@ -160,7 +159,7 @@ def psl2_order(q):
     return q * (q * q - 1) // gcd(2, q - 1)
 
 
-@dataclass(frozen=True)
+@record
 class OrderCensus:
     """Element-order histogram of PSL(2,q), counted by trace class."""
 

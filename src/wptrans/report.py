@@ -15,7 +15,6 @@ order equals 2E.
 """
 
 import json
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import bielliptic, fermat, orbitweights, platonic, pslgroups
@@ -24,6 +23,8 @@ from .surfacecore import (
     RegularMapDescriptor,
     WeightDistribution,
     check,
+    default_factory,
+    record,
     validate_map,
 )
 
@@ -75,7 +76,7 @@ _ROW_NOTES = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class Section6Cell:
     """Point-class cell: a count, optionally weighted (count^weight)."""
 
@@ -87,7 +88,7 @@ class Section6Cell:
         return self.weight is not None
 
 
-@dataclass(frozen=True)
+@record
 class Section6Row:
     number: int
     type_pair: tuple
@@ -134,7 +135,7 @@ def load_dataset():
     return tuple(rows)
 
 
-@dataclass(frozen=True)
+@record
 class RowCheck:
     number: int
     map_status: str
@@ -144,7 +145,7 @@ class RowCheck:
     notes: tuple = ()
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     checks: tuple
 
@@ -210,14 +211,14 @@ def _check_row(row):
 # ---------------------------------------------------------------------------
 # report plumbing
 
-@dataclass(frozen=True)
+@record
 class CommandRequest:
     subcommand: str
-    parameters: dict = field(default_factory=dict)
+    parameters: dict = default_factory(dict)
     fmt: str = "text"
 
 
-@dataclass(frozen=True)
+@record
 class ReportDocument:
     """Structured result of one subcommand run.
 

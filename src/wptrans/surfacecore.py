@@ -7,7 +7,6 @@ structural validation of regular-map descriptors (dart and Euler
 identities).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -23,6 +22,9 @@ __all__ = [
     "rh_area_consistency",
     "InvariantError",
     "check",
+    "record",
+    "replace",
+    "default_factory",
 ]
 
 
@@ -37,6 +39,102 @@ def check(cond, msg):
     """Raise InvariantError(msg) unless cond; unlike assert, survives python -O."""
     if not cond:
         raise InvariantError(msg)
+
+
+class default_factory:
+    """A record field's default, made fresh for each instance by calling make()."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+
+def _frozen_setattr(self, name, value):
+    raise AttributeError("cannot assign to %r: %s is frozen" % (name, type(self).__qualname__))
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError("cannot delete %r: %s is frozen" % (name, type(self).__qualname__))
+
+
+def record(cls):
+    """Make cls a frozen record of its annotated fields, like dataclass(frozen=True).
+
+    The fields are the class's own annotations, in order; a class-level
+    value is the field's default, and a default_factory(make) default
+    calls make() for each instance.  __init__ takes the fields by
+    position or keyword, stores them in the instance __dict__ and then
+    runs __post_init__ if the class has one.  __repr__ reads
+    Name(f=..., g=...); records are equal only to records of the same
+    class with equal fields, and hash as their field tuple.  Assigning
+    or deleting an attribute raises AttributeError.  __match_args__
+    lists the field names, which replace() reads.
+    """
+    own = cls.__dict__
+    names = tuple(own.get("__annotations__", {}))
+    known = frozenset(names)
+    defaults = {name: own[name] for name in names if name in own}
+    for name, value in defaults.items():
+        if isinstance(value, default_factory):
+            delattr(cls, name)
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(names):
+            raise TypeError("%s() takes %d arguments but %d were given"
+                            % (cls.__qualname__, len(names), len(args)))
+        values = dict(zip(names, args))
+        for name in kwargs:
+            if name in values:
+                raise TypeError("%s() got multiple values for argument %r"
+                                % (cls.__qualname__, name))
+            if name not in known:
+                raise TypeError("%s() got an unexpected keyword argument %r"
+                                % (cls.__qualname__, name))
+        values.update(kwargs)
+        if len(values) < len(names):
+            for name in names:
+                if name in values:
+                    continue
+                if name not in defaults:
+                    raise TypeError("%s() missing required argument %r" % (cls.__qualname__, name))
+                value = defaults[name]
+                values[name] = value.make() if isinstance(value, default_factory) else value
+        self.__dict__.update(values)
+        if post_init is not None:
+            post_init(self)
+
+    def fields(self):
+        return tuple(map(self.__dict__.__getitem__, names))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % pair for pair in zip(names, fields(self))))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return fields(self) == fields(other)
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    for method in (__init__, __repr__, __eq__, __hash__):
+        method.__qualname__ = "%s.%s" % (cls.__qualname__, method.__name__)
+        setattr(cls, method.__name__, method)
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    cls.__match_args__ = names
+    return cls
+
+
+def replace(obj, **changes):
+    """A copy of the record obj with the given fields changed; its
+    __post_init__ validation runs again."""
+    values = {name: getattr(obj, name) for name in type(obj).__match_args__}
+    values.update(changes)
+    return type(obj)(**values)
 
 
 def _check_genus(g, minimum, what):
@@ -83,7 +181,7 @@ def double_cover_genus(branch_point_count):
     return (v - 2) // 2
 
 
-@dataclass(frozen=True)
+@record
 class FuchsianSignature:
     """Signature (h; m_1, ..., m_r): orbit genus plus branching periods.
 
@@ -135,7 +233,7 @@ def rh_area_consistency(sig, index, surface_genus):
     return index * mu == 2 * surface_genus - 2
 
 
-@dataclass(frozen=True)
+@record
 class RegularMapDescriptor:
     """A map of type {n, m}: face valency n, vertex valency m, plus counts.
 
@@ -182,7 +280,7 @@ class RegularMapDescriptor:
         return problems
 
 
-@dataclass(frozen=True)
+@record
 class MapValidation:
     """Outcome of validate_map.
 
@@ -225,7 +323,7 @@ def validate_map(d):
     return MapValidation("invalid", d, tuple(problems + swapped_problems))
 
 
-@dataclass(frozen=True)
+@record
 class WeightDistribution:
     """Point classes with counts and per-point weights on one surface.
 

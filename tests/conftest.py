@@ -1,4 +1,4 @@
-"""Shared pytest wiring: the acceptance checklist summary.
+"""Shared pytest wiring: oracle assert rewriting and the acceptance summary.
 
 After every run that touched tests/test_acceptance.py, print one
 PASS/FAIL line per numbered criterion so the checklist can be read off
@@ -7,6 +7,13 @@ during setup/collection counts as FAIL, not as skipped.
 """
 
 import re
+
+import pytest
+
+# oracles.py guards its results with bare asserts; rewriting them like a
+# test module's keeps them under python -O.  This must run before any
+# test module imports oracles.
+pytest.register_assert_rewrite("oracles")
 
 ACCEPTANCE_FILE = "test_acceptance.py"
 

@@ -218,11 +218,10 @@ def test_residual_stays_nonnegative():
 
 def test_accounting_checks_survive_optimize():
     # python -O strips bare asserts; an inconsistent ledger must still raise
-    code = ("import dataclasses\n"
-            "from wptrans.fermat import weight_accounting\n"
-            "from wptrans.surfacecore import InvariantError\n"
+    code = ("from wptrans.fermat import weight_accounting\n"
+            "from wptrans.surfacecore import InvariantError, replace\n"
             "try:\n"
-            "    dataclasses.replace(weight_accounting(6), residual=431)\n"
+            "    replace(weight_accounting(6), residual=431)\n"
             "except InvariantError as exc:\n"
             "    print('raised:', exc)\n")
     src = os.path.dirname(os.path.dirname(wptrans.__file__))
@@ -231,6 +230,25 @@ def test_accounting_checks_survive_optimize():
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "raised: residual 431 != total 990 - subtotals 450 - 108\n"
+
+
+def test_oracle_guard_fires():
+    with pytest.raises(AssertionError):
+        FermatAutomorphism.identity(5).compose(FermatAutomorphism.identity(6))
+
+
+def test_oracle_guards_survive_optimize():
+    # conftest registers oracles for assert rewriting, so its guards still
+    # fire when the suite runs under python -O
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(wptrans.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         os.path.join(here, "test_fermat.py") + "::test_oracle_guard_fires"],
+        cwd=os.path.dirname(here), env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "1 passed" in done.stdout
 
 
 def test_transitivity_only_at_4():

@@ -4,12 +4,16 @@ import ast
 import glob
 import importlib
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 import wptrans
 
+from wptrans.orbitweights import TransitivityStatus, TransitivityVerdict
+from wptrans.report import CommandRequest, Section6Cell
 from wptrans.surfacecore import (
     FuchsianSignature,
     MapValidation,
@@ -17,6 +21,7 @@ from wptrans.surfacecore import (
     WeightDistribution,
     double_cover_genus,
     hyperelliptic_signature,
+    replace,
     rh_area_consistency,
     total_weight,
     validate_map,
@@ -148,6 +153,67 @@ def test_weight_distribution_budget():
         WeightDistribution(3, (("negative", 4, -1),), complete=False)
 
 
+def test_record_repr_reads_like_a_dataclass():
+    verdict = TransitivityVerdict(TransitivityStatus.TRANSITIVE, (1, 1), ("one orbit",))
+    assert repr(verdict) == (
+        "TransitivityVerdict(status=<TransitivityStatus.TRANSITIVE: 'Transitive'>, "
+        "orbit_count_range=(1, 1), reasons=('one orbit',), guaranteed_orbits=())")
+    assert repr(Section6Cell(24)) == "Section6Cell(count=24, weight=None)"
+    assert repr(FuchsianSignature(0, (7, 2, 3))) == (
+        "FuchsianSignature(orbit_genus=0, periods=(2, 3, 7))")
+    assert repr(CommandRequest("census", {"q": 7})) == (
+        "CommandRequest(subcommand='census', parameters={'q': 7}, fmt='text')")
+
+
+def test_record_equality_and_hash():
+    sig = FuchsianSignature(0, (7, 2, 3))
+    same = FuchsianSignature(orbit_genus=0, periods=(2, 3, 7))
+    assert sig == same and hash(sig) == hash(same)
+    assert sig != FuchsianSignature(0, (2, 3, 8))
+    assert sig != (0, (2, 3, 7))
+    assert Section6Cell(24) != (24, None)
+    assert len({sig, same, Section6Cell(24), Section6Cell(24, None)}) == 2
+
+
+def test_record_is_frozen():
+    sig = FuchsianSignature(0, (2, 3, 7))
+    with pytest.raises(AttributeError):
+        sig.orbit_genus = 1
+    with pytest.raises(AttributeError):
+        sig.extra = 1
+    with pytest.raises(AttributeError):
+        del sig.periods
+    assert sig == FuchsianSignature(0, (2, 3, 7))
+
+
+def test_replace_reruns_post_init():
+    sig = replace(FuchsianSignature(0, (2, 3, 7)), periods=(8, 3, 2))
+    assert sig == FuchsianSignature(0, (2, 3, 8))
+    with pytest.raises(ValueError):
+        replace(sig, periods=(1, 2))
+    with pytest.raises(TypeError):
+        replace(sig, genus=2)
+
+
+def test_record_default_factory_is_fresh_per_instance():
+    first, second = CommandRequest("x"), CommandRequest("x")
+    assert first.parameters == {} and first.parameters is not second.parameters
+    assert first.fmt == "text"
+
+
+def test_record_rejects_bad_arguments():
+    with pytest.raises(TypeError):
+        Section6Cell(24, unknown=1)
+    with pytest.raises(TypeError):
+        Section6Cell(24, count=24)
+    with pytest.raises(TypeError):
+        Section6Cell()
+    with pytest.raises(TypeError):
+        Section6Cell(24, 1, 2)
+    with pytest.raises(TypeError):
+        FuchsianSignature(periods=(2, 3, 7))
+
+
 # every module of the package: invariants are `check` calls (or an inline
 # raise of InvariantError where a check runs once per solution)
 MODULES = sorted(os.path.basename(path)[:-3] for path in glob.glob(
@@ -189,6 +255,28 @@ def test_module_has_no_float(module):
     # the package promises integer and Fraction arithmetic only
     lines = [node.lineno for node in ast.walk(_syntax_tree(module)) if _is_float(node)]
     assert lines == [], "%s.py uses floating point on lines %s" % (module, lines)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_does_not_import_dataclasses(module):
+    # records come from surfacecore.record: importing dataclasses (and the
+    # inspect it pulls in) costs every cold wptrans process
+    lines = [node.lineno for node in ast.walk(_syntax_tree(module))
+             if isinstance(node, ast.Import) and any(
+                 alias.name == "dataclasses" for alias in node.names)
+             or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+    assert lines == [], "%s.py imports dataclasses on lines %s" % (module, lines)
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    src = os.path.dirname(os.path.dirname(wptrans.__file__))
+    code = ("import sys, wptrans.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    # -S: no site-packages hooks, so only what wptrans imports is loaded
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_package_exports_every_module_all():
