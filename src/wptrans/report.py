@@ -15,6 +15,7 @@ order equals 2E.
 """
 
 import json
+from itertools import chain, islice
 from typing import NamedTuple
 
 from . import bielliptic, fermat, orbitweights, platonic, pslgroups
@@ -587,62 +588,134 @@ def run(request):
 # rendering
 
 _JSON_INT_LIMIT = 2 ** 53
-
-
-def _jsonify(value):
-    """JSON-safe tree: big integers become decimal strings, tuples lists."""
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
-        return str(value) if abs(value) > _JSON_INT_LIMIT else value
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    return str(value)
+_quote = json.encoder.encode_basestring_ascii
 
 
 def to_jsonable(doc):
-    return {
-        "subcommand": doc.subcommand,
-        "parameters": _jsonify(doc.parameters),
-        "body": _jsonify(doc.body),
-        "citations": list(doc.citations),
-        "provenance": dict(doc.provenance),
-    }
+    """The JSON tree that render_json writes for doc."""
+    return json.loads(render_json(doc))
 
 
 def render_json(doc):
-    return json.dumps(to_jsonable(doc), indent=2, sort_keys=True)
+    """doc as JSON, byte for byte as json.dumps(indent=2, sort_keys=True)
+    writes it once keys are str()'d, tuples are lists, integers beyond
+    +-2^53 (where a double is no longer exact) are quoted decimals and any
+    other value outside JSON is its quoted str().
+
+    One pass appends fragments to one list, joined once at the end.  A
+    list of equal-length rows of ints is written a row at a time from one
+    %d template, and a list object met again at the same depth (the
+    unmasked listing's surviving_solutions is its solutions) repeats the
+    fragments written for it the first time.
+    """
+    parts = []
+    _json_parts({"subcommand": doc.subcommand, "parameters": doc.parameters,
+                 "body": doc.body, "citations": doc.citations,
+                 "provenance": doc.provenance}, 0, parts, {})
+    return "".join(parts)
 
 
-def _text_lines(value, indent):
+def _json_parts(value, depth, parts, seen):
+    if value is None:
+        parts.append("null")
+    elif value is True or value is False:
+        parts.append("true" if value else "false")
+    elif isinstance(value, int):
+        in_range = -_JSON_INT_LIMIT <= value <= _JSON_INT_LIMIT
+        parts.append(int.__repr__(value) if in_range else _quote(str(value)))
+    elif isinstance(value, (list, tuple)):
+        _json_list(value, depth, parts, seen)
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = "\n" + "  " * (depth + 1)
+        items = {str(k): v for k, v in value.items()}
+        sep = "{" + inner
+        for key in sorted(items):
+            parts.append(sep + _quote(key) + ": ")
+            _json_parts(items[key], depth + 1, parts, seen)
+            sep = "," + inner
+        parts.append("\n" + "  " * depth + "}")
+    else:
+        parts.append(_quote(str(value)))
+
+
+def _json_list(value, depth, parts, seen):
+    if not value:
+        parts.append("[]")
+        return
+    # doc holds every list met here for the whole pass, so no id is reused;
+    # keyed on depth too, because the same list one level deeper is
+    # indented more
+    key = (id(value), depth)
+    if key in seen:
+        start, stop = seen[key]
+        parts.extend(parts[start:stop])
+        return
+    start = len(parts)
+    inner = "\n" + "  " * (depth + 1)
+    rows = _int_rows(value)
+    if rows and -_JSON_INT_LIMIT <= rows[1] and rows[2] <= _JSON_INT_LIMIT:
+        cell = inner + "  "
+        row = "[" + cell + ("," + cell).join(["%d"] * rows[0]) + inner + "]"
+        parts.append("[" + inner + row % tuple(value[0]))
+        parts.extend(map(("," + inner + row).__mod__, map(tuple, islice(value, 1, None))))
+    else:
+        sep = "[" + inner
+        for v in value:
+            parts.append(sep)
+            _json_parts(v, depth + 1, parts, seen)
+            sep = "," + inner
+    parts.append("\n" + "  " * depth + "]")
+    seen[key] = start, len(parts)
+
+
+def _int_rows(value):
+    """(width, least, greatest) when value is a nonempty list or tuple of
+    nonempty rows of one width whose entries are all plain ints (bools
+    excluded), else None."""
+    if not set(map(type, value)) <= {list, tuple}:
+        return None
+    widths = set(map(len, value))
+    if len(widths) != 1 or 0 in widths:
+        return None
+    if set(map(type, chain.from_iterable(value))) != {int}:
+        return None
+    return widths.pop(), min(chain.from_iterable(value)), max(chain.from_iterable(value))
+
+
+def _text_lines(value, indent, lines):
+    """Append value's text lines, indented indent steps, to lines."""
     pad = "  " * indent
-    lines = []
     if isinstance(value, dict):
         for key, sub in value.items():
             if isinstance(sub, (dict, list, tuple)) and sub:
                 lines.append("%s%s:" % (pad, key))
-                lines.extend(_text_lines(sub, indent + 1))
+                _text_lines(sub, indent + 1, lines)
             else:
                 lines.append("%s%s: %s" % (pad, key, _scalar(sub)))
     elif isinstance(value, (list, tuple)):
         scalars = all(not isinstance(v, (dict, list, tuple)) for v in value)
+        rows = None if scalars else _int_rows(value)
         if scalars and sum(len(_scalar(v)) for v in value) <= 72:
             lines.append("%s%s" % (pad, "[" + ", ".join(_scalar(v) for v in value) + "]"))
         elif scalars:
             for v in value:
                 lines.append("%s- %s" % (pad, _scalar(v)))
+        elif rows and rows[0] * max(len(str(rows[1])), len(str(rows[2]))) <= 72:
+            # every row fits the 72 characters of a one-line list
+            row = "%s-\n%s  [%s]" % (pad, pad, ", ".join(["%d"] * rows[0]))
+            lines.extend(map(row.__mod__, map(tuple, value)))
         else:
             for v in value:
                 if isinstance(v, (dict, list, tuple)):
                     lines.append("%s-" % pad)
-                    lines.extend(_text_lines(v, indent + 1))
+                    _text_lines(v, indent + 1, lines)
                 else:
                     lines.append("%s- %s" % (pad, _scalar(v)))
     else:
         lines.append("%s%s" % (pad, _scalar(value)))
-    return lines
 
 
 def _scalar(value):
@@ -663,7 +736,7 @@ def render_text(doc):
         lines.append("parameters: " + ", ".join(
             "%s=%s" % (k, _scalar(v)) for k, v in doc.parameters.items()))
     lines.append("")
-    lines.extend(_text_lines(doc.body, 0))
+    _text_lines(doc.body, 0, lines)
     lines.append("")
     lines.append("citations:")
     for cite in doc.citations:

@@ -7,6 +7,7 @@ signal; neither side should be able to inherit a bug from the other.
 """
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -569,3 +570,122 @@ def brute_is_prime(m):
             return False
         f += 1
     return True
+
+
+def brute_numerator_count(coefficients, target):
+    """Number of nonnegative solutions of sum c_j w_j = target, read off a
+    generating function.
+
+    After dividing out d = gcd(c) (no solutions unless d divides the
+    target), the count is the coefficient of x^t in
+    P(x) / (1 - x^L)^k, where L = lcm(c), k = len(c) and
+    P = prod_j (1 - x^L) / (1 - x^c_j) is a polynomial of degree
+    sum_j (L - c_j).  P is expanded densely, and 1 / (1 - x^L)^k
+    contributes comb(m + k - 1, k - 1) at x^(mL), so only the terms of P
+    congruent to t mod L are read.  No walk, no differences.
+    """
+    d = math.gcd(*coefficients)
+    if target % d:
+        return 0
+    reduced = [c // d for c in coefficients]
+    t = target // d
+    period = math.lcm(*reduced)
+    k = len(reduced)
+    poly = [1]
+    for c in reduced:
+        # multiply by 1 - x^L, then divide by 1 - x^c with a running sum
+        grown = poly + [0] * (period - c)
+        for e in range(len(poly) - 1, -1, -1):
+            if e + period < len(grown):
+                grown[e + period] -= poly[e]
+        for e in range(c, len(grown)):
+            grown[e] += grown[e - c]
+        poly = grown
+    return sum(poly[e] * math.comb((t - e) // period + k - 1, k - 1)
+               for e in range(t % period, min(t, len(poly) - 1) + 1, period))
+
+
+_JSON_INT_LIMIT = 2 ** 53
+
+
+def _brute_jsonify(value):
+    """JSON-safe tree: big integers become decimal strings, tuples lists."""
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, int):
+        return str(value) if abs(value) > _JSON_INT_LIMIT else value
+    if isinstance(value, (list, tuple)):
+        return [_brute_jsonify(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _brute_jsonify(v) for k, v in value.items()}
+    return str(value)
+
+
+def brute_render_json(doc):
+    """A report document as json.dumps writes a copied JSON-safe tree."""
+    return json.dumps({
+        "subcommand": doc.subcommand,
+        "parameters": _brute_jsonify(doc.parameters),
+        "body": _brute_jsonify(doc.body),
+        "citations": list(doc.citations),
+        "provenance": dict(doc.provenance),
+    }, indent=2, sort_keys=True)
+
+
+def _brute_text_lines(value, indent):
+    pad = "  " * indent
+    lines = []
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            if isinstance(sub, (dict, list, tuple)) and sub:
+                lines.append("%s%s:" % (pad, key))
+                lines.extend(_brute_text_lines(sub, indent + 1))
+            else:
+                lines.append("%s%s: %s" % (pad, key, _brute_scalar(sub)))
+    elif isinstance(value, (list, tuple)):
+        scalars = all(not isinstance(v, (dict, list, tuple)) for v in value)
+        if scalars and sum(len(_brute_scalar(v)) for v in value) <= 72:
+            lines.append("%s%s" % (pad, "[" + ", ".join(_brute_scalar(v) for v in value) + "]"))
+        elif scalars:
+            for v in value:
+                lines.append("%s- %s" % (pad, _brute_scalar(v)))
+        else:
+            for v in value:
+                if isinstance(v, (dict, list, tuple)):
+                    lines.append("%s-" % pad)
+                    lines.extend(_brute_text_lines(v, indent + 1))
+                else:
+                    lines.append("%s- %s" % (pad, _brute_scalar(v)))
+    else:
+        lines.append("%s%s" % (pad, _brute_scalar(value)))
+    return lines
+
+
+def _brute_scalar(value):
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, (list, tuple)) and not value:
+        return "[]"
+    if isinstance(value, dict) and not value:
+        return "{}"
+    return str(value)
+
+
+def brute_render_text(doc):
+    """A report document as text, each nested value a fresh list of lines."""
+    lines = ["wptrans %s" % doc.subcommand]
+    if doc.parameters:
+        lines.append("parameters: " + ", ".join(
+            "%s=%s" % (k, _brute_scalar(v)) for k, v in doc.parameters.items()))
+    lines.append("")
+    lines.extend(_brute_text_lines(doc.body, 0))
+    lines.append("")
+    lines.append("citations:")
+    for cite in doc.citations:
+        lines.append("  - %s" % cite)
+    lines.append("provenance:")
+    for key, tag in doc.provenance.items():
+        lines.append("  %s: %s" % (key, tag))
+    return "\n".join(lines)

@@ -28,6 +28,7 @@ from wptrans.surfacecore import InvariantError
 
 from oracles import (
     brute_classify,
+    brute_numerator_count,
     brute_weight_solutions,
     brute_witness,
     oracle_cost,
@@ -323,9 +324,30 @@ def test_classify_hurwitz_genera_past_any_walk(genus, count, masked_count):
         TransitivityStatus.NOT_TRANSITIVE, (2, 3), (0, 1))
     assert masked.reasons[0] == "mask forces w3 = 0; %d of %d solutions survive" % (
         masked_count, count)
+    # and with a generating function's numerator, a method with no walk
+    sizes = profile.orbit_sizes
+    assert brute_numerator_count(sizes, genus ** 3 - genus) == count
+    assert brute_numerator_count(sizes[:2] + sizes[3:], genus ** 3 - genus) == masked_count
     for mask in ((0,), (1,), (0, 1, 2)):
         with pytest.raises(ValueError, match="inconsistent"):
             classify(sol, zero_indices=mask)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=5),
+    st.data(),
+)
+def test_count_matches_numerator_oracle(coefficients, data):
+    # the walk and the difference series against a generating function.
+    # Near 10^30 _count walks k counts up to k * lcm(c) each, which takes
+    # seconds past k * lcm(c) = 3000, so larger lcms are drawn below 200 only
+    targets = st.integers(0, 200)
+    if len(coefficients) * math.lcm(*coefficients) <= 3000:
+        targets = st.one_of(targets, st.integers(10 ** 30, 10 ** 30 + 100))
+    target = data.draw(targets)
+    assert solve_weight_equation(coefficients, target).count == brute_numerator_count(
+        coefficients, target)
 
 
 def _prefix_walks(monkeypatch, genus):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -24,7 +25,9 @@ from wptrans.report import (
     to_jsonable,
     validate_section6_dataset,
 )
-from wptrans.report import _jsonify
+from wptrans.orbitweights import TransitivityStatus, TransitivityVerdict
+
+from oracles import brute_render_json, brute_render_text
 
 
 def test_load_dataset_rows():
@@ -145,16 +148,89 @@ def test_census_body_is_ordered_rows():
     assert doc.provenance["orders"] == "oracle-verified"
 
 
-def test_jsonify_big_integers():
-    assert _jsonify(2 ** 53) == 2 ** 53
-    assert _jsonify(2 ** 53 + 1) == str(2 ** 53 + 1)
-    assert _jsonify(-(2 ** 60)) == str(-(2 ** 60))
-    assert _jsonify((1, 2)) == [1, 2]
-    assert _jsonify({1: None, "x": True}) == {"1": None, "x": True}
-    doc = ReportDocument(
-        "demo", {}, ("cite",),
-        {"value": 10 ** 30}, {"value": "computed"})
-    assert json.loads(render_json(doc))["body"]["value"] == str(10 ** 30)
+def _document(body, parameters=None, citations=("cite",)):
+    return ReportDocument("demo", parameters or {}, citations, body,
+                          dict.fromkeys(body, "computed"))
+
+
+EDGES = [2 ** 53, -(2 ** 53), 2 ** 53 + 1, -(2 ** 53 + 1), 10 ** 30]
+
+
+def test_render_json_quotes_big_integers():
+    # past +-2^53 a double is no longer exact, so such integers are quoted
+    doc = _document({"edges": EDGES, "edge_rows": [EDGES[:2], EDGES[1::-1]],
+                     "rows": [EDGES[:2], EDGES[2:4]], "high_row": [[0, 2 ** 53 + 1]],
+                     "low_row": [[-(2 ** 53 + 1), 0]], "low": -(2 ** 60),
+                     "pair": (1, 2), "keys": {1: None, "x": True}},
+                    {"q": 2 ** 53 + 1, "t": -(2 ** 53)})
+    out = render_json(doc)
+    assert out == brute_render_json(doc)
+    assert render_text(doc) == brute_render_text(doc)
+    parsed = json.loads(out)
+    assert parsed["parameters"] == {"q": str(2 ** 53 + 1), "t": -(2 ** 53)}
+    big = [str(v) for v in EDGES[2:]]
+    assert parsed["body"] == {
+        "edges": EDGES[:2] + big, "edge_rows": [EDGES[:2], EDGES[1::-1]],
+        "rows": [EDGES[:2], big[:2]], "high_row": [[0, big[0]]], "low_row": [[big[1], 0]],
+        "low": str(-(2 ** 60)),
+        "pair": [1, 2], "keys": {"1": None, "x": True}}
+    assert to_jsonable(doc) == parsed
+
+
+SHARED = [[1, 2], [3, 4]]
+
+HAND_BUILT = {
+    "bools-in-rows": _document(
+        {"rows": [[1, True], [False, 0]], "late_bool": [[1, 2], [3, True]],
+         "flags": [True, False, None], "solutions": [[0, 1], [1, 0]]}),
+    "strings": _document(
+        {"text": 'caf\u00e9 "quoted" back\\slash\ttab\nnewline\x00\x1f\x7f',
+         "astral": "\U0001d11e clef", "keys": {"\u00e9t\u00e9": 1, 'a"b': 2, "a\\b": 3}},
+        {"name": "Garc\u00eda"}, ("Garc\u00eda: \u2212 \U0001d11e",)),
+    "values": _document(
+        {"ratio": Fraction(7, 3), "half": 0.5,
+         "record": TransitivityVerdict(TransitivityStatus.UNDECIDED, (1, 4), ("why",)),
+         "empties": [[], (), {}, [[]], ({},)], "empty_list": [], "empty_tuple": (),
+         "empty_dict": {}, "int_keys": {10: "b", 1: "a", 2: [3]},
+         "mixed_rows": [(1, 2), [3, 4]], "ragged_rows": [[1, 2], [3]],
+         "long_rows": [[10 ** 15] * 5, [1, 2, 3, 4, 5]],
+         "rows_at_72": [[10 ** 11] * 6, [-(10 ** 10)] * 6],
+         "rows_past_72": [[10 ** 11] * 5 + [10 ** 12], [1] * 6], "row_of_73": [[10 ** 72], [1]],
+         "long_scalars": [10 ** 15] * 5, "nested": [{"a": [1, [2, 3]]}, [[4], 5]]},
+        {"periods": (2, 3, 7), "mask": ()}),
+    "one-list-at-two-depths": _document(
+        {"top": SHARED, "again": SHARED, "nested": {"deeper": SHARED, "too": SHARED},
+         "inside": [SHARED, SHARED]}),
+}
+
+
+def _first_difference(ours, oracle):
+    """None when equal, else the offset and its neighbourhood in each;
+    pytest's own diff of two multi-megabyte strings takes minutes."""
+    if ours == oracle:
+        return None
+    at = next((i for i, (a, b) in enumerate(zip(ours, oracle)) if a != b),
+              min(len(ours), len(oracle)))
+    return at, ours[at - 60:at + 60], oracle[at - 60:at + 60]
+
+
+def _listing(mask):
+    return CommandRequest("orbit-weights", {
+        "order": 2352, "periods": (2, 3, 8), "target": 50 ** 3 - 50, "mask": mask})
+
+
+@pytest.mark.parametrize("request_", EXAMPLES + (_listing(()), _listing((2,))),
+                         ids=[r.subcommand for r in EXAMPLES] + ["g50", "g50-masked"])
+def test_writers_match_oracles_on_every_command(request_):
+    doc = run(request_)
+    assert _first_difference(render_json(doc), brute_render_json(doc)) is None
+    assert _first_difference(render_text(doc), brute_render_text(doc)) is None
+
+
+@pytest.mark.parametrize("doc", HAND_BUILT.values(), ids=HAND_BUILT)
+def test_writers_match_oracles_on_hand_built_documents(doc):
+    assert _first_difference(render_json(doc), brute_render_json(doc)) is None
+    assert _first_difference(render_text(doc), brute_render_text(doc)) is None
 
 
 def test_document_requires_tagged_body():
@@ -245,6 +321,27 @@ def test_cli_closed_stdout_exits_quietly(argv, lines_read):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KB is Linux's")
+def test_listing_memory_is_bounded():
+    # peak RSS of a cold process writing the 53,955-solution (2,3,8) g = 50
+    # listing as JSON, less that of a bare import; each runs under its own
+    # parent, so that no earlier child's peak is read
+    src = os.path.dirname(os.path.dirname(wptrans.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import resource, subprocess, sys; "
+            "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True); "
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+
+    def peak_kb(*argv):
+        done = subprocess.run([sys.executable, "-c", code, sys.executable, *argv],
+                              env=env, capture_output=True, text=True, check=True)
+        return int(done.stdout)
+
+    listing = peak_kb("-m", "wptrans.cli", "orbit-weights", "--order", "2352",
+                      "--periods", "2,3,8", "--target", str(50 ** 3 - 50), "--format", "json")
+    assert listing - peak_kb("-c", "import wptrans.cli") < 40 * 1024
 
 
 BIG_PRIME = 10 ** 18 + 3
