@@ -1,7 +1,7 @@
 """PSL(2,q) made concrete: GF(p^n) as lookup tables (q <= 32, filled by
-a digit recurrence, the modulus the first with no zero divisors), an
-element-order census by trace class size, Macbeath's Hurwitz
-classification, and transitivity verdicts.
+a digit recurrence, the modulus the first with no zero divisors, each
+field built once per process), an element-order census by trace class
+size, Macbeath's Hurwitz classification, and transitivity verdicts.
 
 The census is the oracle of this package, and it rests on one lemma.
 A non-scalar M in SL(2,q) of trace t is GL(2,q)-conjugate to the
@@ -13,13 +13,24 @@ x^2 + tx + 1 (as many as x^2 - tx + 1 has).  The centralizer of C_t is
 the unit group of GF(q)[x]/(x^2 - tx + 1), of order (q-1)^2, q^2-1 or
 q(q-1) for r = 2, 0 or 1, so the class has q(q+1), q(q-1) or q^2-1
 members.  With the scalar of trace t when r = 1, SL(2,q) has
-q(q - 1 + r) matrices of trace t: one permutation per t gives the order
-and the number of its elements.  Summed over t this is |SL(2,q)|
-exactly when the r sum to q - 1, which the coverage check tests.  The
-SL(2,q) walks this replaces are test oracles in tests/oracles.py:
+q(q - 1 + r) matrices of trace t.  Summed over t this is |SL(2,q)|
+exactly when the r sum to q - 1, which the coverage check tests.
+
+Two facts make each class cheap.  The permutation moves every point it
+does not fix in cycles of one length, its order: if g^j != 1 fixed a
+point that g moves, g would fix no point while g^2 fixed two, which no
+element of PSL(2,q) does.  Infinity is never fixed, so the cycle
+through infinity gives the order.  r is read from the discriminant,
+not from the permutation: for odd q, r = 1 + chi(t^2 - 4) with chi the
+quadratic character; for even q, r = 1 at t = 0 and otherwise 2 or 0
+as 1/t^2 is or is not of the form y^2 + y.  The moved points must
+split into whole cycles, which ties the walked order to the derived r.
+The walks this replaces are test oracles in tests/oracles.py:
+brute_perm_order_and_fixed (the whole permutation),
 brute_projective_census (one permutation per element) and
-brute_trace_tally.  Everything the fixed-point formulas assume about
-element orders is cross-checked against the census.
+brute_trace_tally (SL(2,q) by trace).  Everything the fixed-point
+formulas assume about element orders is cross-checked against the
+census.
 
 The transitivity verdicts encode a case analysis as data: the
 fixed-point counts they quote are computed, but facts like the
@@ -73,8 +84,8 @@ class FiniteField:
         self.modulus = modulus  # little-endian, length n+1, monic
         self._add = add
         self._mul = mul
-        self._neg = [row.index(0) for row in add]
-        self._inv = [None] + [row.index(1) for row in mul[1:]]
+        self._neg = tuple(row.index(0) for row in add)
+        self._inv = (None,) + tuple(row.index(1) for row in mul[1:])
 
     def add(self, x, y):
         return self._add[x][y]
@@ -110,6 +121,11 @@ class FiniteField:
         return self._add, self._mul, self._inv, self._neg
 
 
+# one field per (p, n), built on first use: at most the 18 prime powers
+# q <= CENSUS_Q_LIMIT, about 20 KB of tables
+_FIELDS = {}
+
+
 def field_build(p, n):
     """GF(p^n), p prime and p**n <= CENSUS_Q_LIMIT, as lookup tables.
 
@@ -119,15 +135,28 @@ def field_build(p, n):
     the modulus X^n + m.  The modulus is the first m = 0, 1, ... whose
     table has no zero divisors (the first irreducible; X when n = 1).
     The per-entry polynomial oracle is tests/oracles.py:brute_field_tables.
+
+    Each field is built once per process and kept in _FIELDS, so every
+    call after the first returns the same object; its tables are tuples
+    of tuples, which no caller can change under another.
     """
     if not _is_prime(p):
         raise ValueError("%r is not prime" % (p,))
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError("extension degree must be an int, got %r" % (n,))
     if n < 1:
         raise ValueError("extension degree must be >= 1")
     q = p ** n
     if q > CENSUS_Q_LIMIT:
         raise ValueError("field size %d exceeds the desk-scale bound %d" % (q, CENSUS_Q_LIMIT))
+    field = _FIELDS.get((p, n))
+    if field is None:
+        field = _FIELDS[p, n] = _new_field(p, n, q)
+    return field
 
+
+def _new_field(p, n, q):
+    """GF(p^n) with its tables filled by the digit recurrence; see field_build."""
     add = [list(range(q))]
     for x in range(1, q):
         add.append([(x + y) % p + p * add[x // p][y // p] for y in range(q)])
@@ -142,7 +171,8 @@ def field_build(p, n):
         for x in range(p, q):
             mul.append([add[s][times_x[h]] for s, h in zip(mul[x % p], mul[x // p])])
         if all(row.count(0) == 1 for row in mul[1:]):  # only mul[x][0] is 0
-            return FiniteField(p, n, tuple(m // p ** i % p for i in range(n)) + (1,), add, mul)
+            return FiniteField(p, n, tuple(m // p ** i % p for i in range(n)) + (1,),
+                               tuple(map(tuple, add)), tuple(map(tuple, mul)))
     raise AssertionError("no irreducible polynomial of degree %d over GF(%d)" % (n, p))
 
 
@@ -178,53 +208,62 @@ class OrderCensus:
         return [(d, self.counts[d]) for d in self.orders()]
 
 
-def _perm_order_and_fixed(images):
-    """(multiplicative order, fixed point count) of a permutation."""
-    size = len(images)
-    seen = bytearray(size)
-    order = 1
-    fixed = 0
-    for start in range(size):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = 1
-            x = images[x]
-            length += 1
-        if length == 1:
-            fixed += 1
-        order = order * length // gcd(order, length)
-    return order, fixed
+def _root_counts(q, add, mul, inv, neg):
+    """r[t], the number of roots of x^2 + tx + 1 in GF(q), for each code t.
+
+    For odd q it is 1 + chi(t^2 - 4), chi the quadratic character, read
+    from the set of squares.  For even q, t = 0 gives (x + 1)^2 and one
+    root; otherwise x = ty turns it into y^2 + y = 1/t^2, which has two
+    roots or none as 1/t^2 is in {y^2 + y} or not.
+    """
+    if q % 2:
+        squares = {row[y] for y, row in enumerate(mul)}
+        two = add[1][1]
+        minus_four = neg[add[two][two]]
+        discriminants = (add[mul[t][t]][minus_four] for t in range(q))
+        return [1 if d == 0 else 2 if d in squares else 0 for d in discriminants]
+    artin = {add[row[y]][y] for y, row in enumerate(mul)}
+    return [1] + [2 if inv[mul[t][t]] in artin else 0 for t in range(1, q)]
+
+
+def _cycle_order(add_t, inv, neg):
+    """Length of the cycle through infinity of x -> -1/(x + t); add_t is add[t].
+
+    Infinity goes to 0, and x goes back to infinity when x + t = 0.
+    """
+    order = 2
+    s = add_t[0]
+    while s:
+        s = add_t[neg[inv[s]]]
+        order += 1
+    return order
 
 
 def _census_counts(p, n):
     """Element-order counts of PSL(2, p^n), tallied by trace class.
 
     For each trace t, the companion permutation x -> -1/(x + t) of the
-    projective line (the q field codes plus a point at infinity) gives
-    the class's order and r fixed points, and the module's lemma its
-    q(q - 1 + r) members, less the scalar when r = 1.  Fixed-point
-    sanity is checked once per class.  For odd q each count is halved,
-    as M and -M are one element (the classes of t and -t are equal, that
-    of t = 0 even); the identity is counted last.
+    projective line (the q field codes plus a point at infinity) has
+    the order _cycle_order walks and the r fixed points _root_counts
+    derives (see the module's lemma), and the class has q(q - 1 + r)
+    members, less the scalar when r = 1.  Per class, the order must
+    divide the q + 1 - r moved points, and an order-p element must fix
+    exactly one.  For odd q each count is halved, as M and -M are one
+    element (the classes of t and -t are equal, that of t = 0 even); the
+    identity is counted last.
     """
     field = field_build(p, n)
-    add, _, inv, neg = field.tables()
+    add, mul, inv, neg = field.tables()
     q = field.q
-    INF = q
 
     counts = {}
-    for t in range(q):
-        add_t = add[t]
-        images = [INF if add_t[x] == 0 else neg[inv[add_t[x]]] for x in range(q)]
-        images.append(0)  # infinity -> 0/1
-        order, fixed = _perm_order_and_fixed(images)
-        check(fixed <= 2, "non-identity element fixing %d > 2 points" % fixed)
+    for t, r in enumerate(_root_counts(q, add, mul, inv, neg)):
+        order = _cycle_order(add[t], inv, neg)
+        check((q + 1 - r) % order == 0, "trace %d: %d moved points do not split into "
+              "cycles of length %d" % (t, q + 1 - r, order))
         if order == p:
-            check(fixed == 1, "order-%d element must fix exactly one point" % p)
-        counts[order] = counts.get(order, 0) + q * (q - 1 + fixed) - (fixed == 1)
+            check(r == 1, "order-%d element must fix exactly one point" % p)
+        counts[order] = counts.get(order, 0) + q * (q - 1 + r) - (r == 1)
     if q % 2:
         for order, members in counts.items():
             check(members % 2 == 0, "%d elements of order %d do not pair up as M, -M"
@@ -237,9 +276,9 @@ def _census_counts(p, n):
 def order_census(q):
     """Element-order census of PSL(2,q) by trace class size, q <= 32.
 
-    Each trace class's order and size come from one projective
-    permutation (see the module's lemma); the SL(2,q) walks are test
-    oracles in tests/oracles.py.  Totals are checked against
+    Each trace class's order and size come from one projective cycle
+    and one root count (see the module's lemma); the SL(2,q) walks are
+    test oracles in tests/oracles.py.  Totals are checked against
     q(q^2-1)/gcd(2,q-1) and every occurring order is checked against
     the arithmetic realizability predicate.
     """

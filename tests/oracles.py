@@ -398,6 +398,164 @@ def brute_projective_census(p, n):
     return counts
 
 
+def brute_perm_order_and_fixed(images):
+    """(multiplicative order, fixed point count) of a permutation.
+
+    Walks every cycle of images (a list, x -> images[x]) and takes the
+    lcm of the cycle lengths; a cycle of length 1 is a fixed point.
+    """
+    size = len(images)
+    seen = bytearray(size)
+    order = 1
+    fixed = 0
+    for start in range(size):
+        if seen[start]:
+            continue
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = 1
+            x = images[x]
+            length += 1
+        if length == 1:
+            fixed += 1
+        order = order * length // math.gcd(order, length)
+    return order, fixed
+
+
+class BrutePSL2:
+    """PSL(2, p^n) as explicit 2x2 matrices over brute_field_tables codes.
+
+    An element is a det-1 tuple (a, b, c, d) for the matrix (a, b; c, d);
+    for odd q it stands for {M, -M} and is stored as the smaller tuple.
+    elements lists the group in the order SL(2,q) is walked: a != 0
+    with d = (1 + bc)/a, then a = 0 with c = -1/b and d free.
+    """
+
+    def __init__(self, p, n):
+        q = p ** n
+        add, mul, inv, neg = brute_field_tables(p, n, brute_first_irreducible(p, n))
+        self.p, self.q = p, q
+        self._add, self._mul, self._neg = add, mul, neg
+        found = set()
+        for a in range(1, q):
+            for b in range(q):
+                for c in range(q):
+                    found.add(self.canonical((a, b, c, mul[add[mul[b][c]][1]][inv[a]])))
+        for b in range(1, q):
+            for d in range(q):
+                found.add(self.canonical((0, b, neg[inv[b]], d)))
+        self.elements = sorted(found)
+        self.identity = self.canonical((1, 0, 0, 1))
+        self._conjugates = {}
+
+    def canonical(self, m):
+        return min(m, tuple(self._neg[x] for x in m))
+
+    def times(self, m1, m2):
+        add, mul = self._add, self._mul
+        a, b, c, d = m1
+        e, f, g, h = m2
+        return self.canonical((add[mul[a][e]][mul[b][g]], add[mul[a][f]][mul[b][h]],
+                               add[mul[c][e]][mul[d][g]], add[mul[c][f]][mul[d][h]]))
+
+    def order(self, m):
+        k, power = 1, m
+        while power != self.identity:
+            power = self.times(power, m)
+            k += 1
+        return k
+
+    def power(self, m, k):
+        result = self.identity
+        for _ in range(k):
+            result = self.times(result, m)
+        return result
+
+    def cyclic(self, m):
+        """The elements of <m>."""
+        found, power = {self.identity}, m
+        while power != self.identity:
+            found.add(power)
+            power = self.times(power, m)
+        return found
+
+    def element_of_order(self, d):
+        """The first element's power of order d, scanning elements; None if none has it."""
+        for m in self.elements:
+            k = self.order(m)
+            if k % d == 0:
+                return self.power(m, k // d)
+        return None
+
+    def generated(self, generators):
+        """The subgroup the generators generate, by closing under right multiplication."""
+        seen = {self.identity}
+        frontier = [self.identity]
+        while frontier:
+            fresh = []
+            for h in frontier:
+                for g in generators:
+                    k = self.times(h, g)
+                    if k not in seen:
+                        seen.add(k)
+                        fresh.append(k)
+            frontier = fresh
+        return seen
+
+    def conjugates(self, g):
+        """{h^-1 g h: number of h giving it}, over every h in the group."""
+        if g not in self._conjugates:
+            neg = self._neg
+            tally = {}
+            for h in self.elements:
+                a, b, c, d = h
+                k = self.times(self.times((d, neg[b], neg[c], a), g), h)
+                tally[k] = tally.get(k, 0) + 1
+            self._conjugates[g] = tally
+        return self._conjugates[g]
+
+
+def brute_generating_pair(group, t=None):
+    """(x, y) with x^2 = y^3 = 1 and xy of order t that generates group.
+
+    x is the first involution of group.elements (PSL(2,q) has one class
+    of involutions, so a generating pair exists only if one exists with
+    this x); y runs over every element of order 3, and the first y whose
+    product has order t (any order when t is None) and whose pair
+    generates the whole group is returned.  None if there is none.
+    """
+    x = next(m for m in group.elements if group.order(m) == 2)
+    size = len(group.elements)
+    for y in group.elements:
+        if y == group.identity or group.power(y, 3) != group.identity:
+            continue
+        if t is not None and group.order(group.times(x, y)) != t:
+            continue
+        if len(group.generated((x, y))) == size:
+            return x, y
+    return None
+
+
+def brute_surface_fixed_points(group, g, pair):
+    """Fixed points of g on the surface of a (2,3,t) generating pair.
+
+    The surface is the upper half plane over the kernel of the
+    epimorphism sending the triangle group's elliptic generators to x, y
+    and (xy)^-1.  Its points over the branch point of c in {x, y, xy}
+    are the cosets h<c>, and g fixes h<c> exactly when h^-1 g h is in
+    <c>: the count is the sum over c of #{h: h^-1 g h in <c>} / |<c>|.
+    """
+    x, y = pair
+    tally = group.conjugates(g)
+    total = Fraction(0)
+    for c in (x, y, group.times(x, y)):
+        cycle = group.cyclic(c)
+        total += Fraction(sum(tally.get(k, 0) for k in cycle), len(cycle))
+    assert total.denominator == 1
+    return int(total)
+
+
 def point_slots(point):
     """Expand a FermatPoint to three (tag, zeta_exponent) slots; the zero slot is None."""
     others = [i for i in range(3) if i != point.position]

@@ -11,7 +11,12 @@ import pytest
 import wptrans
 from wptrans import pslgroups
 from wptrans.cli import main
-from wptrans.fixedpoints import PRIME_TEST_BOUND, is_prime, is_realizable_order
+from wptrans.fixedpoints import (
+    PRIME_TEST_BOUND,
+    is_prime,
+    is_realizable_order,
+    psl2q_fixed_points,
+)
 from wptrans.orbitweights import TransitivityStatus
 from wptrans.pslgroups import (
     CENSUS_Q_LIMIT,
@@ -28,12 +33,16 @@ from wptrans.pslgroups import _is_prime
 from wptrans.surfacecore import InvariantError
 
 from oracles import (
+    BrutePSL2,
     brute_field_tables,
     brute_first_irreducible,
+    brute_generating_pair,
     brute_is_prime,
     brute_order_census_tables,
+    brute_perm_order_and_fixed,
     brute_prime_power,
     brute_projective_census,
+    brute_surface_fixed_points,
     brute_trace_tally,
 )
 
@@ -132,7 +141,28 @@ def test_field_tables_match_polynomial_oracle():
         p, n = prime_power(q)
         field = field_build(p, n)
         assert field.modulus == brute_first_irreducible(p, n), q
-        assert field.tables() == brute_field_tables(p, n, field.modulus), q
+        add, mul, inv, neg = brute_field_tables(p, n, field.modulus)
+        assert field.tables() == (tuple(map(tuple, add)), tuple(map(tuple, mul)),
+                                  tuple(inv), tuple(neg)), q
+
+
+def test_field_build_memo_shares_immutable_fields():
+    # each field is built once and shared, so its tables must be read-only
+    for q in PRIME_POWERS_32:
+        p, n = prime_power(q)
+        field = field_build(p, n)
+        assert field_build(p, n) is field, q
+        add, mul, inv, neg = field.tables()
+        assert type(inv) is tuple and type(neg) is tuple, q
+        for table in (add, mul):
+            assert type(table) is tuple and all(type(row) is tuple for row in table), q
+    # a rejected (p, n) never enters the memo; 1.0 and True would alias n = 1
+    for p, n in ((4, 1), (6, 1), (2, 0), (2, 1.0), (2, True), (True, 1), (2, 6), (3, 4)):
+        with pytest.raises(ValueError):
+            field_build(p, n)
+    for p, n in pslgroups._FIELDS:
+        assert type(p) is int and type(n) is int, (p, n)
+        assert prime_power(p ** n) == (p, n) and p ** n <= CENSUS_Q_LIMIT, (p, n)
 
 
 def test_gf8_arithmetic():
@@ -230,13 +260,75 @@ def test_census_checks_raise_invariant_error(monkeypatch):
     with pytest.raises(InvariantError, match="does not cover the group"):
         order_census(7)
     monkeypatch.undo()
-    monkeypatch.setattr(pslgroups, "_perm_order_and_fixed", lambda images: (2, 3))
-    with pytest.raises(InvariantError, match="fixing 3 > 2 points"):
+    # a walked order must divide the points the derived root count leaves moved
+    monkeypatch.setattr(pslgroups, "_cycle_order", lambda add_t, inv, neg: 3)
+    with pytest.raises(InvariantError,
+                       match="trace 0: 8 moved points do not split into cycles of length 3"):
         order_census(7)
-    # class sizes rest on the fixed counts: no roots anywhere undercounts
-    monkeypatch.setattr(pslgroups, "_perm_order_and_fixed", lambda images: (2, 0))
+    # class sizes rest on the root counts: no roots anywhere undercounts
+    monkeypatch.setattr(pslgroups, "_cycle_order", lambda add_t, inv, neg: 2)
+    monkeypatch.setattr(pslgroups, "_root_counts", lambda q, add, mul, inv, neg: [0] * q)
     with pytest.raises(InvariantError, match="does not cover the group"):
         order_census(7)
+
+
+def test_cycle_order_and_root_count_match_whole_permutation():
+    # the cycle through infinity and the discriminant rule against every
+    # cycle of x -> -1/(x + t), built over the oracle's own field tables
+    for q in PRIME_POWERS_32:
+        p, n = prime_power(q)
+        add, mul, inv, neg = field_build(p, n).tables()
+        roots = pslgroups._root_counts(q, add, mul, inv, neg)
+        badd, _, binv, bneg = brute_field_tables(p, n, brute_first_irreducible(p, n))
+        for t in range(q):
+            images = [q if badd[t][x] == 0 else bneg[binv[badd[t][x]]] for x in range(q)]
+            images.append(0)  # infinity -> 0
+            census = (pslgroups._cycle_order(add[t], inv, neg), roots[t])
+            assert census == brute_perm_order_and_fixed(images), (q, t)
+
+
+# every (q, t) with q <= 32 and t >= 7 an element order of PSL(2,q); the
+# explicit search finds a generating (2,3,t) pair for each of them
+TRIANGLE_QUOTIENTS = (
+    (7, 7), (8, 7), (8, 9), (11, 11), (13, 7), (13, 13), (16, 15), (16, 17),
+    (17, 8), (17, 9), (17, 17), (19, 9), (19, 10), (19, 19), (23, 11), (23, 12),
+    (23, 23), (25, 12), (25, 13), (27, 7), (27, 13), (27, 14), (29, 7), (29, 14),
+    (29, 15), (29, 29), (31, 8), (31, 15), (31, 16), (31, 31), (32, 11), (32, 31),
+    (32, 33),
+)
+
+
+def test_macbeath_fixed_points_match_explicit_action():
+    # psl2q_fixed_points against fixed cosets counted on a generating
+    # (2,3,t) pair, for one element of each order
+    found = []
+    for q in PRIME_POWERS_32:
+        orders = [d for d in order_census(q).orders() if d > 1]
+        group = BrutePSL2(*prime_power(q))
+        assert len(group.elements) == psl2_order(q), q
+        for t in (d for d in orders if d >= 7):
+            pair = brute_generating_pair(group, t)
+            if pair is None:
+                continue
+            found.append((q, t))
+            for d in orders:
+                g = group.element_of_order(d)
+                assert g is not None, (q, d)
+                assert brute_surface_fixed_points(group, g, pair) == psl2q_fixed_points(
+                    q, (2, 3, t), d), (q, t, d)
+    assert tuple(found) == TRIANGLE_QUOTIENTS
+    # every pair the verdicts quote a (2,3,t) surface for is realized
+    assert {(7, 7), (8, 7), (11, 11), (13, 7), (13, 13), (27, 7), (29, 7)} <= set(found)
+
+
+def test_explicit_action_pins_the_q_11_note_and_q_9():
+    # the (11,11) discrepancy note's computed values, now checked
+    group = BrutePSL2(11, 1)
+    pair = brute_generating_pair(group, 11)
+    assert brute_surface_fixed_points(group, group.element_of_order(2), pair) == 6
+    assert brute_surface_fixed_points(group, group.element_of_order(5), pair) == 0
+    # Macbeath's exception: PSL(2,9) has no generating pair of orders 2 and 3
+    assert brute_generating_pair(BrutePSL2(3, 2)) is None
 
 
 def test_trace_class_sizes_match_oracle():
