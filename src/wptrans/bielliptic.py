@@ -14,7 +14,7 @@ refutation is mechanized.
 from fractions import Fraction
 
 from .orbitweights import TransitivityStatus, TransitivityVerdict
-from .surfacecore import check, record, total_weight
+from .surfacecore import _require_int, check, record, total_weight
 
 __all__ = [
     "kato_max_weight",
@@ -37,6 +37,7 @@ def kato_max_weight(g):
     non-hyperelliptic hypothesis is the caller's; it is not checkable
     from g alone.
     """
+    _require_int("genus", g)
     if g < 3:
         raise ValueError("Kato's bound needs genus >= 3, got %r" % (g,))
     if g in _KATO_LISTED:
@@ -76,6 +77,7 @@ def bielliptic_window(g):
     Kato's theorem hypothesis needs g >= 11.  Both candidates are
     integers for every g: g^2-5g = g(g-5) is always even.
     """
+    _require_int("genus", g)
     if g < 11:
         raise ValueError("below theorem hypothesis: bi-elliptic window needs g >= 11, got %r"
                          % (g,))
@@ -92,6 +94,7 @@ def nu(g):
     nu(g) is what a transitive bi-elliptic action would force, via
     |W| = 2g + 10 + nu(g).
     """
+    _require_int("genus", g)
     return Fraction(28 * g - 100, g * g - 5 * g + 10)
 
 
@@ -155,6 +158,8 @@ def scan_nontransitive(g_from, g_to):
     neither candidate divides g^3 - g.  Only the genera below 40 are
     checked one by one.
     """
+    _require_int("genus", g_from)
+    _require_int("genus", g_to)
     if not 11 <= g_from <= g_to:
         raise ValueError("need 11 <= g_from <= g_to, got (%r, %r)" % (g_from, g_to))
     survivors = []

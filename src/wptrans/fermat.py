@@ -20,7 +20,7 @@ is one orbit, and orbit_enumerate returns its size without walking it.
 from enum import Enum
 
 from .orbitweights import TransitivityStatus, TransitivityVerdict
-from .surfacecore import check, record, total_weight
+from .surfacecore import _require_int, check, record, total_weight
 
 __all__ = [
     "PointClass",
@@ -78,6 +78,7 @@ class FermatPoint:
 
 def automorphism_group_order(n):
     """|Aut F_n| = 6 n^2 for n >= 4 (n = 3 is the exceptional elliptic case)."""
+    _require_int("Fermat exponent", n)
     if n < 4:
         raise ValueError("the 6n^2 count holds for n >= 4, got %r" % (n,))
     return 6 * n * n
@@ -85,6 +86,7 @@ def automorphism_group_order(n):
 
 def fermat_genus(n):
     """(n-1)(n-2)/2.  n = 3 gives genus 1: no Weierstrass points there."""
+    _require_int("Fermat exponent", n)
     if n < 3:
         raise ValueError("Fermat exponent must be >= 3, got %r" % (n,))
     return (n - 1) * (n - 2) // 2
@@ -92,6 +94,7 @@ def fermat_genus(n):
 
 def trivial_point_weight(n):
     """Hasse: each trivial point has weight (n-1)(n-2)(n-3)(n+4)/24."""
+    _require_int("Fermat exponent", n)
     if n < 3:
         raise ValueError("Fermat exponent must be >= 3, got %r" % (n,))
     num = (n - 1) * (n - 2) * (n - 3) * (n + 4)
@@ -113,11 +116,13 @@ def leopoldt_weight_bound(n):
 
 
 def trivial_points(n):
+    _require_int("Fermat exponent", n)
     return [FermatPoint(n, PointClass.TRIVIAL, k, (a,))
             for k in range(3) for a in range(n)]
 
 
 def _leopoldt_guard(n):
+    _require_int("Fermat exponent", n)
     if n < 5:
         raise ValueError("no Leopoldt points for n < 5 (got %r)" % (n,))
 
@@ -152,6 +157,7 @@ def orbit_enumerate(n, seed):
       coordinates are kept.
     - So the orbit of any seed is its whole family.
     """
+    _require_int("Fermat exponent", n)
     if seed.kind is PointClass.TRIVIAL and n < 4:
         raise ValueError("trivial-point orbits need n >= 4")
     if seed.n != n:

@@ -19,7 +19,7 @@ larger q.
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .surfacecore import check
+from .surfacecore import _is_int, _require_int, check
 
 __all__ = [
     "cyclic_fixed_points",
@@ -102,7 +102,7 @@ def prime_power(q):
     below PRIME_TEST_BOUND.  The trial division this replaces is
     tests/oracles.py:brute_prime_power.
     """
-    if not isinstance(q, int) or isinstance(q, bool) or q < 2:
+    if not _is_int(q) or q < 2:
         raise ValueError("prime power expected, got %r" % (q,))
     _within_bound(q)
     for p in _PRIME_BASES:
@@ -151,11 +151,14 @@ def cyclic_fixed_points(n, periods, d):
     the sum automatically integral: each term contributes n/m_i).  A d
     that divides no period gives 0.
     """
+    _require_int("group order", n)
+    _require_int("element order", d)
     if n < 1:
         raise ValueError("group order must be positive")
     if d < 2:
         raise ValueError("element order must be >= 2")
     for m in periods:
+        _require_int("period", m)
         if m < 2 or n % m != 0:
             raise ValueError(
                 "period %r does not divide the cyclic group order %d" % (m, n)
@@ -172,6 +175,8 @@ def is_realizable_order(q, d):
     predicate; the element-order census gives the same answer for
     every q it can reach.
     """
+    _require_int("q", q)
+    _require_int("element order", d)
     if d < 1:
         return False
     if d == 1:
@@ -202,9 +207,11 @@ def psl2q_fixed_points(q, periods, d):
     element order of PSL(2,q) and is rejected.
     """
     p, n = prime_power(q)
+    _require_int("element order", d)
     if d < 2:
         raise ValueError("element order must be >= 2")
     for m in periods:
+        _require_int("period", m)
         if m < 2:
             raise ValueError("every period must be >= 2, got %r" % (m,))
     context = "PSL(2,%d), periods=%s, d=%d" % (q, tuple(periods), d)
@@ -236,6 +243,7 @@ def schoeneberg_is_weierstrass(fixed_count):
 
     Strictly more than 4; the boundary value 4 proves nothing.
     """
+    _require_int("fixed point count", fixed_count)
     if fixed_count < 0:
         raise ValueError("fixed point count cannot be negative")
     return fixed_count > 4

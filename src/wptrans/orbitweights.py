@@ -33,7 +33,15 @@ import itertools
 import math
 import operator
 
-from .surfacecore import InvariantError, _check_genus, check, record, total_weight
+from .surfacecore import (
+    InvariantError,
+    _check_genus,
+    _is_int,
+    _require_int,
+    check,
+    record,
+    total_weight,
+)
 
 __all__ = [
     "OrbitProfile",
@@ -101,8 +109,7 @@ class OrbitProfile:
 
 
 def _integers(*values):
-    # bool is an int subclass, but True is no orbit size or weight
-    return all(isinstance(v, int) and not isinstance(v, bool) for v in values)
+    return all(map(_is_int, values))
 
 
 def orbit_profile(group_order, periods):
@@ -434,6 +441,8 @@ def necessary_weight(group_order, stabilizer_order, g):
     transitivity with that stabilizer order is impossible because the
     forced weight would not be an integer.
     """
+    _require_int("group order", group_order)
+    _require_int("stabilizer order", stabilizer_order)
     if group_order < 1 or stabilizer_order < 1:
         raise ValueError("orders must be positive")
     _check_genus(g, 2, "necessary weight")
@@ -474,7 +483,7 @@ class SimplePointOutcome:
     reason: str
 
 
-def simple_point_analysis(M_table=None):
+def simple_point_analysis():
     """Elimination chain for surfaces whose Weierstrass points are all simple.
 
     If all g^3 - g Weierstrass points have weight 1 and the action is
@@ -485,11 +494,6 @@ def simple_point_analysis(M_table=None):
     regular-map case analysis, are Klein's surface (g=3), a possible
     free S4 action in genus 3, and Bring's surface (g=4).
     """
-    table = dict(DEFAULT_MAX_GROUP_ORDER if M_table is None else M_table)
-    for g in range(2, 9):
-        if g not in table:
-            raise ValueError("M(%d) missing from the group order table" % g)
-
     outcomes = []
     for g in range(2, 9):
         wcount = total_weight(g)
@@ -503,10 +507,10 @@ def simple_point_analysis(M_table=None):
                 g, False, "excluded",
                 "%d = g^3-g exceeds the Hurwitz bound %d" % (wcount, 84 * (g - 1))))
             continue
-        if wcount > table[g]:
+        if wcount > DEFAULT_MAX_GROUP_ORDER[g]:
             outcomes.append(SimplePointOutcome(
                 g, False, "excluded",
-                "%d = g^3-g exceeds M(%d) = %d" % (wcount, g, table[g])))
+                "%d = g^3-g exceeds M(%d) = %d" % (wcount, g, DEFAULT_MAX_GROUP_ORDER[g])))
             continue
         if g == 7:
             outcomes.append(SimplePointOutcome(
@@ -537,10 +541,6 @@ def simple_point_analysis(M_table=None):
                 "(0; 2,2,2,3), acting freely on the Weierstrass points; it is "
                 "open whether this occurs"))
             continue
-        # reachable only with a nonstandard M table (the defaults exclude
-        # g = 6 and 8 here); never drop a genus silently
-        outcomes.append(SimplePointOutcome(
-            g, True, "unresolved",
-            "no obstruction recorded: g^3-g = %d fits under M(%d) = %d"
-            % (wcount, g, table[g])))
+        # M(g) excludes g = 6 and 8 above; never drop a genus silently
+        raise InvariantError("genus %d is decided by no step of the chain" % g)
     return outcomes

@@ -19,6 +19,8 @@ import enum
 
 from .surfacecore import (
     RegularMapDescriptor,
+    _is_int,
+    _require_int,
     check,
     double_cover_genus,
     record,
@@ -129,7 +131,7 @@ _DOUBLED_GROUP = {
 
 
 def _require_param(n):
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+    if not _is_int(n) or n < 2:
         raise ValueError("family parameter must be an integer >= 2, got %r" % (n,))
     return n
 
@@ -309,6 +311,7 @@ def accola_maclachlan(g):
     presentation above.  It realizes the minimum of the maximal
     automorphism group order M(g) >= 8(g+1).
     """
+    _require_int("genus", g)
     if g < 1:
         raise ValueError("Accola-Maclachlan surfaces need genus >= 1")
     return _vertex_cover(dihedron(2 * g + 2))
@@ -335,6 +338,7 @@ def enumerate_transitive_hyperelliptic(g_max):
     Accola-Maclachlan surfaces.  Each surface is unique for its data, a
     cover of a solid branched over vertices or edge-centres.
     """
+    _require_int("genus", g_max)
     if g_max < 1:
         raise ValueError("g_max must be >= 1")
     results = [accola_maclachlan(g) for g in range(1, g_max + 1)]

@@ -38,7 +38,6 @@ maximality of the (2,3,7) triangle group are recorded, not re-derived.
 """
 
 from math import gcd
-from typing import NamedTuple
 
 from .fixedpoints import is_prime, is_realizable_order, prime_power, psl2q_fixed_points
 from .orbitweights import (
@@ -48,7 +47,7 @@ from .orbitweights import (
     orbit_profile,
     solve_weight_equation,
 )
-from .surfacecore import check, record, replace, total_weight
+from .surfacecore import _is_int, _require_int, check, record, replace, total_weight
 
 __all__ = [
     "FiniteField",
@@ -68,57 +67,27 @@ CENSUS_Q_LIMIT = 32
 
 def _is_prime(m):
     """fixedpoints.is_prime for an integer m, False for anything else."""
-    return isinstance(m, int) and not isinstance(m, bool) and is_prime(m)
+    return _is_int(m) and is_prime(m)
 
 
 # ---------------------------------------------------------------------------
 # GF(p^n)
 
 class FiniteField:
-    """GF(p^n) as lookup tables over the codes 0..q-1; see field_build."""
+    """GF(p^n) as lookup tables over the codes 0..q-1, read through tables();
+    see field_build."""
 
     def __init__(self, p, n, modulus, add, mul):
         self.p = p
         self.n = n
         self.q = p ** n
         self.modulus = modulus  # little-endian, length n+1, monic
-        self._add = add
-        self._mul = mul
-        self._neg = tuple(row.index(0) for row in add)
-        self._inv = (None,) + tuple(row.index(1) for row in mul[1:])
-
-    def add(self, x, y):
-        return self._add[x][y]
-
-    def neg(self, x):
-        return self._neg[x]
-
-    def mul(self, x, y):
-        return self._mul[x][y]
-
-    def inv(self, x):
-        if x == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return self._inv[x]
-
-    def pow(self, x, k):
-        """x^k; x^(-k) is inv(x)^k, so pow(0, -k) raises like inv(0)."""
-        if k < 0:
-            x, k = self.inv(x), -k
-        result, base = 1, x
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
-
-    def elements(self):
-        return range(self.q)
+        self._tables = (add, mul, (None,) + tuple(row.index(1) for row in mul[1:]),
+                        tuple(row.index(0) for row in add))
 
     def tables(self):
         """(add, mul, inv, neg) lookup tables; inv[0] is None."""
-        return self._add, self._mul, self._inv, self._neg
+        return self._tables
 
 
 # one field per (p, n), built on first use: at most the 18 prime powers
@@ -142,7 +111,7 @@ def field_build(p, n):
     """
     if not _is_prime(p):
         raise ValueError("%r is not prime" % (p,))
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_int(n):
         raise ValueError("extension degree must be an int, got %r" % (n,))
     if n < 1:
         raise ValueError("extension degree must be >= 1")
@@ -298,7 +267,8 @@ def order_census(q):
 # ---------------------------------------------------------------------------
 # Hurwitz classification and verdicts
 
-class HurwitzStatus(NamedTuple):
+@record
+class HurwitzStatus:
     q: int
     is_hurwitz: bool
     reason: str
@@ -325,6 +295,7 @@ def is_hurwitz_psl2q(q):
 
 def hurwitz_genus(group_order):
     """Genus on which a Hurwitz group of the given order acts: 1 + order/84."""
+    _require_int("group order", group_order)
     if group_order < 84 or group_order % 84 != 0:
         raise ValueError("%d is not a Hurwitz order (must be a positive multiple of 84)"
                          % group_order)
@@ -354,6 +325,7 @@ def psl2q_transitivity_verdict(q, t):
     coverage.
     """
     prime_power(q)
+    _require_int("t", t)
     if t < 7:
         raise ValueError("hyperbolic (2,3,t) needs t >= 7, got %r" % (t,))
 

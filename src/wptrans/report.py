@@ -16,7 +16,6 @@ order equals 2E.
 
 import json
 from itertools import chain, islice
-from typing import NamedTuple
 
 from . import bielliptic, fermat, orbitweights, platonic, pslgroups
 from .surfacecore import (
@@ -24,7 +23,6 @@ from .surfacecore import (
     RegularMapDescriptor,
     WeightDistribution,
     check,
-    default_factory,
     record,
     validate_map,
 )
@@ -215,7 +213,7 @@ def _check_row(row):
 @record
 class CommandRequest:
     subcommand: str
-    parameters: dict = default_factory(dict)
+    parameters: dict
     fmt: str = "text"
 
 
@@ -444,7 +442,8 @@ def _parse_mask(text):
     return tuple(sorted(set(indices)))
 
 
-class Param(NamedTuple):
+@record
+class Param:
     """One subcommand parameter: its command-line flag and request key.
 
     convert turns the flag's string into the request value after argparse
@@ -461,7 +460,8 @@ class Param(NamedTuple):
     convert: object = None
 
 
-class Command(NamedTuple):
+@record
+class Command:
     """One subcommand: what `wptrans <name>` parses and what run computes.
 
     body(**parameters) returns the report body.  provenance holds only the

@@ -24,7 +24,6 @@ __all__ = [
     "check",
     "record",
     "replace",
-    "default_factory",
 ]
 
 
@@ -41,13 +40,14 @@ def check(cond, msg):
         raise InvariantError(msg)
 
 
-class default_factory:
-    """A record field's default, made fresh for each instance by calling make()."""
+def _is_int(v):
+    """An int that is not a bool: True is no genus, order or count."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
-    __slots__ = ("make",)
 
-    def __init__(self, make):
-        self.make = make
+def _require_int(what, v):
+    if not _is_int(v):
+        raise ValueError("%s must be an integer, got %r" % (what, v))
 
 
 def _frozen_setattr(self, name, value):
@@ -62,22 +62,18 @@ def record(cls):
     """Make cls a frozen record of its annotated fields, like dataclass(frozen=True).
 
     The fields are the class's own annotations, in order; a class-level
-    value is the field's default, and a default_factory(make) default
-    calls make() for each instance.  __init__ takes the fields by
-    position or keyword, stores them in the instance __dict__ and then
-    runs __post_init__ if the class has one.  __repr__ reads
-    Name(f=..., g=...); records are equal only to records of the same
-    class with equal fields, and hash as their field tuple.  Assigning
-    or deleting an attribute raises AttributeError.  __match_args__
-    lists the field names, which replace() reads.
+    value is the field's default, shared by every instance.  __init__
+    takes the fields by position or keyword, stores them in the instance
+    __dict__ and then runs __post_init__ if the class has one.  __repr__
+    reads Name(f=..., g=...); records are equal only to records of the
+    same class with equal fields, and hash as their field tuple.
+    Assigning or deleting an attribute raises AttributeError.
+    __match_args__ lists the field names, which replace() reads.
     """
     own = cls.__dict__
     names = tuple(own.get("__annotations__", {}))
     known = frozenset(names)
     defaults = {name: own[name] for name in names if name in own}
-    for name, value in defaults.items():
-        if isinstance(value, default_factory):
-            delattr(cls, name)
     post_init = getattr(cls, "__post_init__", None)
 
     def __init__(self, *args, **kwargs):
@@ -99,8 +95,7 @@ def record(cls):
                     continue
                 if name not in defaults:
                     raise TypeError("%s() missing required argument %r" % (cls.__qualname__, name))
-                value = defaults[name]
-                values[name] = value.make() if isinstance(value, default_factory) else value
+                values[name] = defaults[name]
         self.__dict__.update(values)
         if post_init is not None:
             post_init(self)
@@ -138,8 +133,7 @@ def replace(obj, **changes):
 
 
 def _check_genus(g, minimum, what):
-    if not isinstance(g, int) or isinstance(g, bool):
-        raise ValueError("genus must be an integer, got %r" % (g,))
+    _require_int("genus", g)
     if g < minimum:
         raise ValueError("genus too small for %s: need g >= %d, got %d" % (what, minimum, g))
 
@@ -174,7 +168,7 @@ def double_cover_genus(branch_point_count):
     gives g = (v - 2) / 2.
     """
     v = branch_point_count
-    if not isinstance(v, int) or isinstance(v, bool) or v < 2 or v % 2 != 0:
+    if not _is_int(v) or v < 2 or v % 2 != 0:
         raise ValueError(
             "a double cover of the sphere has an even number (>= 2) of branch points, got %r" % (v,)
         )
@@ -194,10 +188,11 @@ class FuchsianSignature:
     periods: tuple
 
     def __post_init__(self):
+        _require_int("orbit genus", self.orbit_genus)
         if self.orbit_genus < 0:
             raise ValueError("orbit genus must be nonnegative")
         for m in self.periods:
-            if not isinstance(m, int) or m < 2:
+            if not _is_int(m) or m < 2:
                 raise ValueError("every period must be an integer >= 2, got %r" % (m,))
         object.__setattr__(self, "periods", tuple(sorted(self.periods)))
 
@@ -224,7 +219,7 @@ def rh_area_consistency(sig, index, surface_genus):
     Riemann-Hurwitz: index * mu(sig) must equal 2g - 2 exactly.  The
     signature must be cocompact hyperbolic.
     """
-    if index < 1:
+    if not _is_int(index) or index < 1:
         raise ValueError("index must be a positive integer")
     _check_genus(surface_genus, 0, "Riemann-Hurwitz consistency")
     mu = sig.mu()

@@ -518,13 +518,3 @@ def test_simple_point_analysis_survivors():
     assert not by_genus[7][0].survives
 
 
-def test_simple_point_analysis_custom_table():
-    # with an inflated M table nothing is dropped silently: the genera
-    # the default census values excluded come back as unresolved
-    table = dict.fromkeys(range(2, 9), 10 ** 6)
-    outcomes = simple_point_analysis(table)
-    assert [o.genus for o in outcomes] == [2, 3, 3, 4, 5, 6, 7, 8]
-    unresolved = {o.genus for o in outcomes if o.label == "unresolved"}
-    assert unresolved == {6, 8}
-    with pytest.raises(ValueError):
-        simple_point_analysis({2: 48})

@@ -94,7 +94,7 @@ EXAMPLES = (
     CommandRequest("modular", {"p": 7}),
     CommandRequest("bielliptic-scan", {"g_from": 11, "g_to": 300}),
     CommandRequest("fermat", {"n": 5}),
-    CommandRequest("validate-tables"),
+    CommandRequest("validate-tables", {}),
     CommandRequest("census", {"q": 7}),
 )
 
@@ -112,7 +112,7 @@ def test_examples_cover_every_command():
     ids=lambda r: r.subcommand)
 def test_run_rejects_unknown_subcommand(request_):
     with pytest.raises(ValueError, match="unknown subcommand"):
-        run(CommandRequest("frobnicate"))
+        run(CommandRequest("frobnicate", {}))
     # and a known one without its first required parameter
     name = _first_required(request_.subcommand)
     params = {k: v for k, v in request_.parameters.items() if k != name}

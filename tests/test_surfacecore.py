@@ -98,6 +98,50 @@ def test_rh_area_consistency():
         rh_area_consistency(triangle, 0, 3)
 
 
+KLEIN_SIGNATURE = FuchsianSignature(0, (2, 3, 7))
+
+# (public function, integer arguments it accepts, which one to spoil)
+INTEGER_ENTRIES = [
+    ("hurwitz_genus", (168,), 0),
+    ("kato_max_weight", (12,), 0),
+    ("bielliptic_window", (12,), 0),
+    ("nu", (12,), 0),
+    ("scan_nontransitive", (11, 20), 0),
+    ("scan_nontransitive", (11, 20), 1),
+    ("fermat_genus", (5,), 0),
+    ("trivial_point_weight", (5,), 0),
+    ("leopoldt_weight_bound", (7,), 0),
+    ("automorphism_group_order", (4,), 0),
+    ("trivial_points", (5,), 0),
+    ("orbit_enumerate", (5, wptrans.trivial_points(5)[0]), 0),
+    ("necessary_weight", (168, 7, 3), 0),
+    ("necessary_weight", (168, 7, 3), 1),
+    ("FuchsianSignature", (0, (2, 3, 7)), 0),
+    ("rh_area_consistency", (KLEIN_SIGNATURE, 168, 3), 1),
+    ("psl2q_fixed_points", (13, (2, 3, 7), 2), 2),
+    ("is_realizable_order", (13, 7), 0),
+    ("is_realizable_order", (13, 7), 1),
+    ("psl2q_transitivity_verdict", (17, 7), 1),
+    ("schoeneberg_is_weierstrass", (4,), 0),
+    ("cyclic_fixed_points", (6, (2, 3, 6), 2), 0),
+    ("cyclic_fixed_points", (6, (2, 3, 6), 2), 2),
+    ("enumerate_transitive_hyperelliptic", (2,), 0),
+    ("accola_maclachlan", (2,), 0),
+]
+
+
+@pytest.mark.parametrize("name, args, spoil", INTEGER_ENTRIES,
+                         ids=["%s-%d" % (name, spoil) for name, _, spoil in INTEGER_ENTRIES])
+@pytest.mark.parametrize("bad", [float, lambda v: True], ids=["float", "bool"])
+def test_integer_entries_reject_float_and_bool(name, args, spoil, bad):
+    # a float or bool must not reach the integer arithmetic: a whole
+    # float would come back as a float answer, e.g. 3.0 for a genus
+    getattr(wptrans, name)(*args)
+    spoiled = args[:spoil] + (bad(args[spoil]),) + args[spoil + 1:]
+    with pytest.raises(ValueError, match="integer"):
+        getattr(wptrans, name)(*spoiled)
+
+
 def test_validate_map_accepts_klein():
     klein = RegularMapDescriptor(
         face_valency=3, vertex_valency=7, V=24, E=84, F=56, genus=3)
@@ -195,12 +239,6 @@ def test_replace_reruns_post_init():
         replace(sig, genus=2)
 
 
-def test_record_default_factory_is_fresh_per_instance():
-    first, second = CommandRequest("x"), CommandRequest("x")
-    assert first.parameters == {} and first.parameters is not second.parameters
-    assert first.fmt == "text"
-
-
 def test_record_rejects_bad_arguments():
     with pytest.raises(TypeError):
         Section6Cell(24, unknown=1)
@@ -260,18 +298,21 @@ def test_module_has_no_float(module):
 @pytest.mark.parametrize("module", MODULES)
 def test_module_does_not_import_dataclasses(module):
     # records come from surfacecore.record: importing dataclasses (and the
-    # inspect it pulls in) costs every cold wptrans process
+    # inspect it pulls in) or typing (for NamedTuple) costs every cold
+    # wptrans process
+    libraries = ("dataclasses", "typing")
     lines = [node.lineno for node in ast.walk(_syntax_tree(module))
              if isinstance(node, ast.Import) and any(
-                 alias.name == "dataclasses" for alias in node.names)
-             or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
-    assert lines == [], "%s.py imports dataclasses on lines %s" % (module, lines)
+                 alias.name in libraries for alias in node.names)
+             or isinstance(node, ast.ImportFrom) and node.module in libraries]
+    assert lines == [], "%s.py imports dataclasses or typing on lines %s" % (module, lines)
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # typing too: no module defines a NamedTuple
     src = os.path.dirname(os.path.dirname(wptrans.__file__))
     code = ("import sys, wptrans.cli\n"
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n")
     # -S: no site-packages hooks, so only what wptrans imports is loaded
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src))
