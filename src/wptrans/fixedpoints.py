@@ -45,10 +45,11 @@ def _within_bound(m):
 
 def is_prime(m):
     """Deterministic Miller-Rabin, exact for every integer m below
-    PRIME_TEST_BOUND; ValueError from there on."""
-    _within_bound(m)
-    if m < 2:
+    PRIME_TEST_BOUND; ValueError from there on.  False for a float, a
+    bool or anything else that is not an int."""
+    if not _is_int(m) or m < 2:
         return False
+    _within_bound(m)
     for b in _PRIME_BASES:
         if m % b == 0:
             return m == b

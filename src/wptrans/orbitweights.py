@@ -20,8 +20,10 @@ tuple reduced by its gcd, and a support is feasible exactly when the
 count of the solutions nonzero exactly on it is positive.  For a
 triangle action that tuple depends only on the periods, so every genus
 of a signature shares them.  Below the quasi-polynomial's range the
-count walks the prefixes with equal remainders merged, at a cost
-polynomial in the equation's width; see _count and _walk_count.
+count walks the prefixes a layer at a time with equal remainders merged,
+at a cost polynomial in the equation's width; see _layers, _count and
+_walk_count.  A listing reads the same layers, keeps the remainders that
+complete, and walks only the prefixes through them; see _solutions.
 
 This module also carries the necessary-condition arithmetic
 w = |G_p| (g^3 - g) / |G| and the simple-point elimination chain.
@@ -56,6 +58,7 @@ __all__ = [
     "simple_point_analysis",
     "SimplePointOutcome",
     "DEFAULT_MAX_GROUP_ORDER",
+    "LISTING_REMAINDER_CAP",
 ]
 
 
@@ -141,7 +144,8 @@ class WeightEquationSolutionSet:
     count and supports are computed without listing anything.
     solutions is listed, lex sorted, the first time it is read, and
     checked then: every solution against the equation, the order, and
-    the length against count.
+    the length against count.  Reading it raises ValueError where the
+    listing would pass LISTING_REMAINDER_CAP.
     """
 
     coefficients: tuple
@@ -202,6 +206,14 @@ class WeightEquationSolutionSet:
         return solutions
 
 
+LISTING_REMAINDER_CAP = 500_000
+"""The most remainders a listing's layers may hold (see _solutions).
+
+A listing past it raises ValueError; its count and verdict are still
+computed without listing.
+"""
+
+
 def _last_pair(a, b):
     """The w of every solution of a w + b w' = r, as a range, for each r.
 
@@ -222,22 +234,6 @@ def _last_pair(a, b):
     return weights
 
 
-def _prefixes(coeffs, remaining, prefix=()):
-    """(prefix, remainder) for every choice of weights on coeffs, lex sorted.
-
-    Coordinate j ranges over 0..remaining/c_j in increasing order.
-    """
-    if not coeffs:
-        yield prefix, remaining
-        return
-    c, inner = coeffs[0], coeffs[1:]
-    for w in range(remaining // c + 1):
-        if inner:  # the last level yields itself: no generator per prefix
-            yield from _prefixes(inner, remaining - c * w, prefix + (w,))
-        else:
-            yield prefix + (w,), remaining - c * w
-
-
 def _short(coeffs, target):
     """The solutions of an equation with no pair: the empty sum, or one division."""
     if not coeffs:
@@ -246,40 +242,97 @@ def _short(coeffs, target):
     return [] if r else [(w,)]
 
 
-def _solutions(coeffs, target):
-    """Every nonnegative solution, lex sorted: the prefixes of all but the
-    last two coordinates, each completed by the last pair's range."""
-    if len(coeffs) < 2:
-        yield from _short(coeffs, target)
-        return
-    a, b = coeffs[-2:]
-    weights = _last_pair(a, b)
-    for prefix, r in _prefixes(coeffs[:-2], target):
-        for w in weights(r):
-            yield prefix + (w, (r - a * w) // b)
+def _layers(coeffs, target):
+    """The remainders left after each coordinate, with equal ones merged.
 
-
-def _walk_count(coeffs, target):
-    """Number of nonnegative solutions, by walking the prefixes a layer
-    at a time.
-
-    coeffs is a descending tuple of width >= 2, as _count and
-    _differences pass it: the largest coefficients go outermost, where
-    they have the fewest steps.  Each outer coordinate takes every
-    remainder r left so far to r, r - c, r - 2c, ..., and the prefixes
-    that leave the same remainder are merged into one entry with their
-    multiplicity, so a layer holds at most target + 1 entries whatever
-    the width.  Each entry then adds its multiplicity times the length of
-    the last pair's range.  The walk's length grows with the target;
-    _count calls it only below a bound set by the coefficients.
+    For each coordinate c of coeffs in turn, yields the layer that takes
+    every remainder r of the one before (at first, the target alone) to
+    r, r - c, r - 2c, ..., down to 0.  Each entry maps a remainder to the
+    number of prefixes that leave it, so a layer holds at most target + 1
+    entries whatever the width.
     """
     layer = {target: 1}
-    for c in coeffs[:-2]:
+    for c in coeffs:
         below = {}
         for r, m in layer.items():
             for rest in range(r, -1, -c):
                 below[rest] = below.get(rest, 0) + m
         layer = below
+        yield layer
+
+
+def _solutions(coeffs, target):
+    """Every nonnegative solution, lex sorted, walked only through
+    prefixes that complete.
+
+    The outer coordinates are all but the last pair.  Their layers are
+    built in the given order (see _layers), except the last outer one's:
+    whether a remainder completes from there is the last pair's closed
+    form (see _last_pair), so an equation of width <= 3 holds no layer.
+    The layers held may not pass LISTING_REMAINDER_CAP remainders in all.
+    A backward pass keeps, in each layer, only the remainders that the
+    later coordinates complete.  The forward walk then steps from kept
+    remainder to kept remainder, each weight increasing, so the
+    solutions come out lex sorted with no sort.
+    """
+    if len(coeffs) < 2:
+        yield from _short(coeffs, target)
+        return
+    *outer, a, b = coeffs
+    weights = _last_pair(a, b)
+    if not outer:
+        for v in weights(target):
+            yield (v, (target - a * v) // b)
+        return
+    layers, held = [], 0
+    for layer in _layers(outer[:-1], target):
+        held += len(layer)
+        if held > LISTING_REMAINDER_CAP:
+            raise ValueError("listing the solutions would hold more than %d remainders"
+                             % LISTING_REMAINDER_CAP)
+        layers.append(layer)
+    # kept[i]: the remainders left after outer coordinate i that complete
+    kept = []
+    if layers:
+        c = outer[-1]
+        kept.append({r for r in layers.pop() if any(map(weights, range(r, -1, -c)))})
+    for c, layer in zip(reversed(outer[1:-1]), reversed(layers)):
+        live = kept[-1]
+        kept.append({r for r in layer if not live.isdisjoint(range(r, -1, -c))})
+    del layers  # the walk reads only the kept remainders
+    kept.reverse()
+    last = len(outer) - 1
+
+    def walk(i, prefix, r):
+        c = outer[i]
+        if i == last:
+            for w, rest in enumerate(range(r, -1, -c)):
+                for v in weights(rest):
+                    yield prefix + (w, v, (rest - a * v) // b)
+            return
+        live = kept[i]
+        for w, rest in enumerate(range(r, -1, -c)):
+            if rest in live:
+                yield from walk(i + 1, prefix + (w,), rest)
+
+    yield from walk(0, (), target)
+
+
+def _walk_count(coeffs, target):
+    """Number of nonnegative solutions, from the last layer of the prefix
+    walk.
+
+    coeffs is a descending tuple of width >= 2, as _count and
+    _differences pass it: the largest coefficients go outermost, where
+    they have the fewest steps.  The layer left before the last pair
+    (see _layers) maps each remainder to its number of prefixes, and each
+    adds that number times the length of the last pair's range.  The
+    walk's length grows with the target; _count calls it only below a
+    bound set by the coefficients.
+    """
+    layer = {target: 1}
+    for layer in _layers(coeffs[:-2], target):
+        pass
     weights = _last_pair(*coeffs[-2:])
     return sum(m * len(weights(r)) for r, m in layer.items())
 
@@ -336,9 +389,11 @@ def solve_weight_equation(coefficients, target):
     enumerated here.  The set's count is a quasi-polynomial in the target
     (see _count), and each support's share of it is one more count (see
     WeightEquationSolutionSet.supports).  Its solutions are listed on
-    first read, lex sorted, by a search that solves the last pair instead
-    of searching it, so it visits only solutions (see _solutions), and the
-    listing is re-verified exactly then.  An empty set is a valid answer.
+    first read, lex sorted, and re-verified exactly then.  The listing
+    walks only prefixes that some solution completes, and solves the last
+    pair instead of searching it (see _solutions); it raises ValueError
+    where its remainder layers would pass LISTING_REMAINDER_CAP.  An empty
+    set is a valid answer.
     """
     return WeightEquationSolutionSet(tuple(coefficients), target)
 
@@ -379,7 +434,10 @@ def classify(sol_set, zero_indices=(), profile=None):
     supports = sol_set.supports
     if not supports:
         raise ValueError("cannot classify an empty solution set")
-    mask = tuple(sorted(set(zero_indices)))
+    mask = tuple(zero_indices)
+    if not _integers(*mask):
+        raise ValueError("mask indices must be integers, got %r" % (mask,))
+    mask = tuple(sorted(set(mask)))
     for i in mask:
         if not 0 <= i < n:
             raise ValueError("mask index %d out of range" % i)

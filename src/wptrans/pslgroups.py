@@ -65,11 +65,6 @@ __all__ = [
 CENSUS_Q_LIMIT = 32
 
 
-def _is_prime(m):
-    """fixedpoints.is_prime for an integer m, False for anything else."""
-    return _is_int(m) and is_prime(m)
-
-
 # ---------------------------------------------------------------------------
 # GF(p^n)
 
@@ -109,7 +104,7 @@ def field_build(p, n):
     call after the first returns the same object; its tables are tuples
     of tuples, which no caller can change under another.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError("%r is not prime" % (p,))
     if not _is_int(n):
         raise ValueError("extension degree must be an int, got %r" % (n,))
@@ -409,7 +404,7 @@ def modular_surface_verdict(p):
     delegates to the (q, t) = (p, p) case.  Transitive exactly for
     p = 7.  X(5) has genus 0 and the question is void there.
     """
-    if not _is_prime(p) or p < 5:
+    if not is_prime(p) or p < 5:
         raise ValueError("p must be a prime >= 5, got %r" % (p,))
     if p == 5:
         return TransitivityVerdict(

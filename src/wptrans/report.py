@@ -321,7 +321,6 @@ def _orbit_weights(order, periods, target, mask=()):
         raise ValueError("--mask w%d is out of range: there are %d orbits, w1 to w%d"
                          % (max(mask) + 1, orbits, orbits))
     verdict = orbitweights.classify(sols, zero_indices=mask, profile=profile)
-    solutions = [list(v) for v in sols.solutions]
     survivors = sols.solutions
     for i in mask:
         survivors = [v for v in survivors if not v[i]]
@@ -330,9 +329,9 @@ def _orbit_weights(order, periods, target, mask=()):
         "periods": list(periods),
         "orbit_sizes": list(profile.orbit_sizes),
         "target": target,
-        "solutions": solutions,
+        "solutions": sols.solutions,
         "mask": [i + 1 for i in mask],
-        "surviving_solutions": [list(v) for v in survivors] if mask else solutions,
+        "surviving_solutions": survivors,
         "verdict": _verdict_dict(verdict),
     }
 
@@ -453,7 +452,7 @@ class Param:
 
     flag: str
     key: str
-    type: type = int
+    type: object = int
     required: bool = True
     default: object = None
     help: str = None

@@ -64,17 +64,21 @@ def record(cls):
     The fields are the class's own annotations, in order; a class-level
     value is the field's default, shared by every instance.  __init__
     takes the fields by position or keyword, stores them in the instance
-    __dict__ and then runs __post_init__ if the class has one.  __repr__
-    reads Name(f=..., g=...); records are equal only to records of the
-    same class with equal fields, and hash as their field tuple.
+    __dict__ and then runs __post_init__ if the class has one.  After it,
+    each field annotated int must hold an int that is not a bool (or None,
+    where None is the default), else ValueError.  __repr__ reads
+    Name(f=..., g=...); records are equal only to records of the same
+    class with equal fields, and hash as their field tuple.
     Assigning or deleting an attribute raises AttributeError.
     __match_args__ lists the field names, which replace() reads.
     """
     own = cls.__dict__
-    names = tuple(own.get("__annotations__", {}))
+    annotations = own.get("__annotations__", {})
+    names = tuple(annotations)
     known = frozenset(names)
     defaults = {name: own[name] for name in names if name in own}
     post_init = getattr(cls, "__post_init__", None)
+    ints = tuple(name for name in names if annotations[name] is int)
 
     def __init__(self, *args, **kwargs):
         if len(args) > len(names):
@@ -99,6 +103,12 @@ def record(cls):
         self.__dict__.update(values)
         if post_init is not None:
             post_init(self)
+        for name in ints:
+            value = self.__dict__[name]
+            if type(value) is not int and not _is_int(value) and not (
+                    value is None and defaults.get(name, 0) is None):
+                raise ValueError("%s.%s must be an integer, got %r"
+                                 % (cls.__qualname__, name, value))
 
     def fields(self):
         return tuple(map(self.__dict__.__getitem__, names))
@@ -342,6 +352,9 @@ class WeightDistribution:
                 raise ValueError("class %r has nonpositive count" % (label,))
             if weight < 0:
                 raise ValueError("class %r has negative weight" % (label,))
+            if not (_is_int(count) and _is_int(weight)):
+                raise ValueError("class %r needs an integer count and weight, got %r and %r"
+                                 % (label, count, weight))
         total = self.weighted_sum()
         budget = total_weight(self.genus)
         if total > budget:

@@ -847,3 +847,154 @@ def brute_render_text(doc):
     for key, tag in doc.provenance.items():
         lines.append("  %s: %s" % (key, tag))
     return "\n".join(lines)
+
+
+def _presentation_relators(presentation, values):
+    """Generators and relators of a presentation "<a,b | u = v = ... = 1>".
+
+    Each side of a relation but the last is a relator: a word that equals
+    the identity.  A word is a run of factors, each a generator or a
+    bracketed word, raised to an optional exponent: an integer or a
+    one-letter name looked up in values, either signed.  1 is the empty
+    word.  A letter is column 2i (generator i) or 2i + 1 (its inverse),
+    so x ^ 1 inverts a column.
+    """
+    gens_text, rels_text = presentation.strip().strip("<>").split("|")
+    gens = [g.strip() for g in gens_text.split(",")]
+    text = rels_text.replace(" ", "")
+    pos = 0
+
+    def word():
+        nonlocal pos
+        letters = []
+        while pos < len(text) and text[pos] not in ")=":
+            if text[pos] == "1":  # the empty word
+                pos += 1
+                continue
+            if text[pos] == "(":
+                pos += 1
+                base = word()
+                pos += 1  # the closing bracket
+            else:
+                base = [2 * gens.index(text[pos])]
+                pos += 1
+            power = 1
+            if pos < len(text) and text[pos] == "^":
+                pos += 1
+                sign = 1
+                if text[pos] == "-":
+                    sign = -1
+                    pos += 1
+                start = pos
+                while text[pos].isdigit():
+                    pos += 1
+                if pos == start:  # a one-letter name
+                    pos += 1
+                    power = sign * values[text[start]]
+                else:
+                    power = sign * int(text[start:pos])
+            if power < 0:
+                base = [x ^ 1 for x in reversed(base)]
+            letters += base * abs(power)
+        return letters
+
+    sides = []
+    while pos < len(text):
+        sides.append(word())
+        pos += 1  # the "=" between sides
+    if sides[-1] != []:
+        raise ValueError("the last side of %r is not 1" % presentation)
+    return len(gens), [w for w in sides[:-1] if w]
+
+
+def brute_coset_enumeration(presentation, max_cosets=100_000, **values):
+    """The order of the group a presentation defines, by Todd-Coxeter.
+
+    HLT coset enumeration over the trivial subgroup, with coincidences
+    processed as in Holt, Eick & O'Brien, Handbook of Computational Group
+    Theory (2005), section 5.1: every live coset is scanned under every
+    relator, defining new cosets to fill each scan, and then given every
+    missing image.  The live cosets left at the end are the elements.
+    ValueError if more than max_cosets cosets are ever defined.
+    """
+    ngens, relators = _presentation_relators(presentation, values)
+    width = 2 * ngens
+    table = [[None] * width]
+    parent = [0]
+
+    def define(c, x):
+        if len(table) >= max_cosets:
+            raise ValueError("more than %d cosets defined" % max_cosets)
+        new = len(table)
+        table.append([None] * width)
+        parent.append(new)
+        table[c][x] = new
+        table[new][x ^ 1] = c
+
+    def rep(c):
+        root = c
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
+        return root
+
+    def merge(k, m, queue):
+        k, m = rep(k), rep(m)
+        if k != m:
+            k, m = min(k, m), max(k, m)
+            parent[m] = k
+            queue.append(m)
+
+    def coincidence(k, m):
+        queue = []
+        merge(k, m, queue)
+        for dead in queue:  # merge appends while this runs
+            for x in range(width):
+                image = table[dead][x]
+                if image is None:
+                    continue
+                table[image][x ^ 1] = None
+                e, f = rep(dead), rep(image)
+                if table[e][x] is not None:
+                    merge(f, table[e][x], queue)
+                elif table[f][x ^ 1] is not None:
+                    merge(e, table[f][x ^ 1], queue)
+                else:
+                    table[e][x] = f
+                    table[f][x ^ 1] = e
+
+    def scan_and_fill(c, w):
+        f, b, i, j = c, c, 0, len(w) - 1
+        while True:
+            while i <= j and table[f][w[i]] is not None:
+                f = table[f][w[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and table[b][w[j] ^ 1] is not None:
+                b = table[b][w[j] ^ 1]
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if i == j:
+                table[f][w[i]] = b
+                table[b][w[i] ^ 1] = f
+                return
+            define(f, w[i])
+
+    c = 0
+    while c < len(table):
+        for w in relators:
+            if parent[c] != c:
+                break
+            scan_and_fill(c, w)
+        if parent[c] == c:
+            for x in range(width):
+                if table[c][x] is None:
+                    define(c, x)
+        c += 1
+    return sum(1 for c, p in enumerate(parent) if c == p)

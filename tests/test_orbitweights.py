@@ -115,6 +115,19 @@ def test_solver_matches_nested_loop_oracle(coefficients, data):
     assert list(sol.solutions) == brute_weight_solutions(coefficients, target)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=30), min_size=6, max_size=7),
+    st.data(),
+)
+def test_wide_listing_matches_nested_loop_oracle(coefficients, data):
+    # widths 6 and 7 hold three and four layers, so the backward pass that
+    # keeps only completing remainders runs through several of them
+    target = data.draw(st.integers(0, min(150, _max_target(coefficients, ORACLE_BUDGET))))
+    sol = solve_weight_equation(coefficients, target)
+    assert list(sol.solutions) == brute_weight_solutions(coefficients, target)
+
+
 @pytest.mark.parametrize("coefficients, target", [
     ([3, 4, 6], 13),    # gcd(4, 6) = 2 misses every odd remainder
     ([5, 4, 2], 12),    # last pair with b/d = 1: w runs over every value
@@ -164,6 +177,74 @@ def _python(code, *options, timeout=None):
                           capture_output=True, text=True, timeout=timeout)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def test_listing_refuses_past_the_remainder_cap(monkeypatch):
+    # of the outer coordinates 1, 2, 3 the layers after 1 and 2 are held,
+    # each with every remainder 0..40; the last one's is never built
+    coefficients, target = (1, 2, 3, 4, 5), 40
+    held = 41 + 41
+    expected = brute_weight_solutions(coefficients, target)
+    monkeypatch.setattr(orbitweights, "LISTING_REMAINDER_CAP", held)
+    assert list(solve_weight_equation(coefficients, target).solutions) == expected
+    monkeypatch.setattr(orbitweights, "LISTING_REMAINDER_CAP", held - 1)
+    sol = solve_weight_equation(coefficients, target)
+    with pytest.raises(ValueError) as caught:
+        sol.solutions
+    assert str(caught.value) == (
+        "listing the solutions would hold more than %d remainders" % (held - 1))
+    # the count and the verdict list nothing, so the cap does not reach them
+    assert sol.count == len(expected)
+    assert classify(sol).status is TransitivityStatus.UNDECIDED
+
+
+SPARSE = '''
+import time
+from wptrans.orbitweights import solve_weight_equation
+start = time.perf_counter()
+solutions = solve_weight_equation((20, 20, 20, 30, 10, 10, 30, 961, 1363), 2726).solutions
+print(time.perf_counter() - start < 1, solutions)
+'''
+
+
+def test_sparse_listing_walks_only_prefixes_that_complete():
+    # one solution among ~3.7e11 prefixes: a walk through every prefix
+    # does not end, so the run has a timeout
+    assert _python(SPARSE, timeout=20) == "True ((0, 0, 0, 0, 0, 0, 0, 0, 2),)\n"
+
+
+PRIMORIAL = 7420738134810  # 2 * 3 * 5 * ... * 37, the first twelve primes
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def test_ascending_primorial_listing_is_refused_quickly():
+    # in the given, ascending order the layers reach millions of
+    # remainders; the listing stops at the cap instead of filling memory
+    src = os.path.dirname(os.path.dirname(wptrans.__file__))
+    argv = ["orbit-weights", "--order", str(PRIMORIAL),
+            "--periods", ",".join(map(str, PRIMES)), "--target", str(PRIMORIAL)]
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "wptrans.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=30)
+    assert time.perf_counter() - start < 5
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: listing the solutions would hold more than %d remainders\n"
+        % orbitweights.LISTING_REMAINDER_CAP)
+
+
+DESCENDING = '''
+from wptrans.orbitweights import orbit_profile, solve_weight_equation
+sizes = orbit_profile(%d, %r).orbit_sizes
+sol = solve_weight_equation(sizes[::-1], %d)
+print(len(sol.solutions), sol.count, sol.solutions[0], sol.solutions[-1])
+''' % (PRIMORIAL, PRIMES, PRIMORIAL)
+
+
+def test_descending_primorial_lists_its_solutions():
+    # the same equation with its largest coefficients outermost
+    assert _python(DESCENDING, timeout=30) == (
+        "13 13 (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 37) (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)\n")
 
 
 # PSL13 has ten solutions; a count of 11 cannot be split among its supports
@@ -435,6 +516,14 @@ def test_classify_not_transitive_case():
 def test_classify_inconsistent_mask():
     with pytest.raises(ValueError, match="inconsistent"):
         classify(solve_weight_equation(*PSL13), zero_indices=(2,))
+
+
+def test_classify_rejects_non_integer_mask_indices():
+    sol = solve_weight_equation(*PSL13)
+    for mask in ((0.0, 1), (True,), ("0",)):
+        with pytest.raises(ValueError) as caught:
+            classify(sol, zero_indices=mask)
+        assert str(caught.value) == "mask indices must be integers, got %r" % (mask,)
 
 
 def test_classify_rejects_empty_solution_set():

@@ -17,6 +17,8 @@ from wptrans.platonic import (
 )
 from wptrans.platonic import _SOLIDS
 
+from oracles import brute_coset_enumeration
+
 
 def test_solid_data():
     tetra = _SOLIDS["tetrahedron"]
@@ -153,6 +155,15 @@ def test_accola_maclachlan_series():
         assert "r^4" in cover.aut.presentation
     with pytest.raises(ValueError):
         accola_maclachlan(0)
+
+
+def test_accola_maclachlan_presentation_has_the_printed_order():
+    # the presentation printed for AM, with n = 2g + 2, defines a group of
+    # order 8(g + 1), the order the package records
+    for g in range(1, 11):
+        aut = accola_maclachlan(g).aut
+        assert aut.presentation == AM_PRESENTATION
+        assert brute_coset_enumeration(AM_PRESENTATION, n=2 * g + 2) == aut.order == 8 * (g + 1)
 
 
 def test_enumerate_counts():

@@ -28,7 +28,6 @@ from wptrans.pslgroups import (
     psl2_order,
     psl2q_transitivity_verdict,
 )
-from wptrans.pslgroups import _is_prime
 from wptrans.surfacecore import InvariantError
 
 from oracles import (
@@ -112,7 +111,18 @@ def test_prime_power_of_large_inputs():
 
 def test_is_prime_matches_trial_division():
     for m in range(-3, 5000):
-        assert _is_prime(m) == brute_is_prime(m), m
+        assert is_prime(m) == brute_is_prime(m), m
+
+
+def test_is_prime_rejects_non_integers():
+    # a float or a bool is no prime, even where its value is, and a float
+    # past the exact bound is refused as a non-integer, not as too large
+    for m in (7.0, 2.0, True, 1e30, "7", None):
+        assert is_prime(m) is False, m
+    with pytest.raises(ValueError, match="is not prime"):
+        field_build(7.0, 1)
+    with pytest.raises(ValueError, match="p must be a prime"):
+        modular_surface_verdict(7.0)
 
 
 def test_canonical_moduli():

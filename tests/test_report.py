@@ -27,7 +27,7 @@ from wptrans.report import (
 )
 from wptrans.orbitweights import TransitivityStatus, TransitivityVerdict
 
-from oracles import brute_render_json, brute_render_text
+from oracles import brute_coset_enumeration, brute_render_json, brute_render_text
 
 
 def test_load_dataset_rows():
@@ -43,6 +43,25 @@ def test_load_dataset_rows():
     assert humbert.group == "***"
     assert humbert.presentation.startswith("<r,s |")
     assert "Humbert" in humbert.note
+
+
+@pytest.mark.parametrize("presentation, order", [
+    ("<a,b | a^-1 b a b^-2 = b^-1 a b a^-2 = 1>", 1),     # collapses by coincidences
+    ("<a,b | a^4 = a^2 b^-2 = b^-1 a b a = 1>", 8),       # quaternion group
+    ("<a,b | a^2 = b^2 = (ab)^7 = 1>", 14),               # dihedral group D7
+    ("<a,b,c | a^2 = b^2 = c^2 = (ab)^3 = (bc)^3 = (ac)^2 = 1>", 24),  # S4
+    ("<x,y | x^2 = y^3 = (xy)^7 = (x^-1 y^-1 x y)^4 = 1>", 168),       # PSL(2,7)
+])
+def test_coset_enumeration_on_known_groups(presentation, order):
+    assert brute_coset_enumeration(presentation) == order
+
+
+def test_row_12_presentation_has_the_printed_order():
+    # Humbert's curve: the printed order is 2E, and the recorded
+    # two-generator presentation defines a group of exactly that order
+    humbert = load_dataset()[11]
+    assert humbert.presentation == report_mod._ROW_PRESENTATIONS[12]
+    assert brute_coset_enumeration(humbert.presentation) == humbert.order == 160
 
 
 def test_validation_passes_shipped_dataset():

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 import wptrans
 
+from wptrans.fermat import FermatPoint, PointClass
 from wptrans.orbitweights import TransitivityStatus, TransitivityVerdict
 from wptrans.report import CommandRequest, Section6Cell
 from wptrans.surfacecore import (
@@ -195,6 +196,31 @@ def test_weight_distribution_budget():
         WeightDistribution(3, (("incomplete", 4, 2),), complete=True)
     with pytest.raises(ValueError):
         WeightDistribution(3, (("negative", 4, -1),), complete=False)
+
+
+def test_records_check_fields_annotated_int():
+    # each check runs after __post_init__, so a hand-written guard's
+    # message comes first; a None default may stay None
+    for make, message in (
+        (lambda: RegularMapDescriptor(3, 7, 24.0, 84, 56, 3.0),
+         "RegularMapDescriptor.V must be an integer, got 24.0"),
+        (lambda: FermatPoint(5.0, PointClass.TRIVIAL, 0, (1,)),
+         "FermatPoint.n must be an integer, got 5.0"),
+        (lambda: Section6Cell(24, 1.0), "Section6Cell.weight must be an integer, got 1.0"),
+        (lambda: Section6Cell(True), "Section6Cell.count must be an integer, got True"),
+        (lambda: Section6Cell(None), "Section6Cell.count must be an integer, got None"),
+        (lambda: WeightDistribution(3, (("x", 8.0, 3),), complete=True),
+         "class 'x' needs an integer count and weight, got 8.0 and 3"),
+        (lambda: WeightDistribution(3, (("x", 8, 3.0),), complete=True),
+         "class 'x' needs an integer count and weight, got 8 and 3.0"),
+        (lambda: WeightDistribution(3.0, ()), "genus must be an integer, got 3.0"),
+    ):
+        with pytest.raises(ValueError) as caught:
+            make()
+        assert str(caught.value) == message
+    assert Section6Cell(24, None) == Section6Cell(24)
+    with pytest.raises(ValueError, match="nonpositive count"):
+        WeightDistribution(3, (("x", 0.0, 3),))
 
 
 def test_record_repr_reads_like_a_dataclass():
