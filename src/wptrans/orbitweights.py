@@ -14,16 +14,18 @@ the unknowns are always the weights.)  Published solution lists for
 this equation say "positive integers" but contain zeros; the solver
 enumerates nonnegative vectors, which is what the data means.
 
-Counts and verdicts take time independent of the target: a count is a
+Counts and verdicts take time independent of the target.  A count is a
 quasi-polynomial in the target (Beck & Robins), cached per coefficient
-tuple reduced by its gcd, and a support is feasible exactly when the
-count of the solutions nonzero exactly on it is positive.  For a
-triangle action that tuple depends only on the periods, so every genus
-of a signature shares them.  Below the quasi-polynomial's range the
-count walks the prefixes a layer at a time with equal remainders merged,
-at a cost polynomial in the equation's width; see _layers, _count and
-_walk_count.  A listing reads the same layers, keeps the remainders that
-complete, and walks only the prefixes through them; see _solutions.
+tuple reduced by its gcd; for a triangle action that tuple depends only
+on the periods, so every genus of a signature shares them.  Below the
+quasi-polynomial's range the count walks the prefixes a layer at a time
+with equal remainders merged, at a cost polynomial in the equation's
+width; see _layers, _count and _walk_count.  A support is decided by a
+certificate, Brauer's bound on the Frobenius number, and counted only
+where the bound cannot decide it; see _brauer_bound and
+WeightEquationSolutionSet.supports.  A listing reads the same layers,
+keeps the remainders that complete, and walks only the prefixes through
+them; see _solutions.
 
 This module also carries the necessary-condition arithmetic
 w = |G_p| (g^3 - g) / |G| and the simple-point elimination chain.
@@ -141,7 +143,7 @@ def orbit_profile(group_order, periods):
 class WeightEquationSolutionSet:
     """The nonnegative solutions of sum(c_j w_j) = target, listed on first read.
 
-    count and supports are computed without listing anything.
+    count and supports are decided without listing anything.
     solutions is listed, lex sorted, the first time it is read, and
     checked then: every solution against the equation, the order, and
     the length against count.  Reading it raises ValueError where the
@@ -166,31 +168,32 @@ class WeightEquationSolutionSet:
 
     @functools.cached_property
     def supports(self):
-        """Every feasible support with its number of solutions, by size and
-        then lex: a dict from each sorted index tuple S for which some
-        solution is nonzero exactly on S to the number of such solutions.
+        """Every feasible support, by size and then lex: each sorted index
+        tuple S for which some solution is nonzero exactly on S.
 
         w_j = u_j + 1 on S turns those solutions into the nonnegative
-        solutions u of sum_S c_j u_j = target - sum_S c_j, so each support
-        costs one _count, once per set: classifications of one set under
-        different masks share them.  Every solution has exactly one
-        support, so the counts must sum to count; that is checked.
+        solutions u of sum_S c_j u_j = rest, rest = target - sum_S c_j.
+        With d = gcd(c_S) there is one exactly when rest >= 0, d divides
+        rest, and rest/d is a nonnegative combination of the c_S/d:
+        certainly so when rest/d is above Brauer's bound for c_S/d (see
+        _brauer_bound), and otherwise when _count finds a solution.  The
+        empty support is feasible when the target is 0.  Decided once per
+        set: classifications of one set under different masks share them.
         """
         coeffs, target = self.coefficients, self.target
         n = len(coeffs)
-        counts = {}
-        for size in range(n + 1):
+        feasible = [()] if target == 0 else []
+        for size in range(1, n + 1):
             for s in itertools.combinations(range(n), size):
                 sub = [coeffs[j] for j in s]
                 rest = target - sum(sub)
-                if rest >= 0:
-                    found = _count(sub, rest)
-                    if found:
-                        counts[s] = found
-        total = sum(counts.values())
-        check(total == self.count, "support counts sum to %d, not to the count %d"
-              % (total, self.count))
-        return counts
+                if rest < 0:
+                    continue
+                d = math.gcd(*sub)
+                if rest % d == 0 and (rest // d > _brauer_bound(sorted(c // d for c in sub))
+                                      or _count(sub, rest)):
+                    feasible.append(s)
+        return tuple(feasible)
 
     @functools.cached_property
     def solutions(self):
@@ -242,7 +245,7 @@ def _short(coeffs, target):
     return [] if r else [(w,)]
 
 
-def _layers(coeffs, target):
+def _layers(coeffs, target, cap=None):
     """The remainders left after each coordinate, with equal ones merged.
 
     For each coordinate c of coeffs in turn, yields the layer that takes
@@ -250,13 +253,27 @@ def _layers(coeffs, target):
     r, r - c, r - 2c, ..., down to 0.  Each entry maps a remainder to the
     number of prefixes that leave it, so a layer holds at most target + 1
     entries whatever the width.
+
+    With a cap, the layers yielded and the one being built may hold at
+    most cap remainders in all, and ValueError is raised at the first
+    remainder past it, before the layer is finished.  r gives r // c + 1
+    steps, each adding at most one remainder, so only an r whose steps
+    could pass the cap has its growth checked step by step.
     """
-    layer = {target: 1}
+    layer, held = {target: 1}, 0
     for c in coeffs:
         below = {}
         for r, m in layer.items():
+            if cap is None or held + len(below) + r // c < cap:
+                for rest in range(r, -1, -c):
+                    below[rest] = below.get(rest, 0) + m
+                continue
             for rest in range(r, -1, -c):
                 below[rest] = below.get(rest, 0) + m
+                if held + len(below) > cap:
+                    raise ValueError("listing the solutions would hold more than %d "
+                                     "remainders" % cap)
+        held += len(below)
         layer = below
         yield layer
 
@@ -269,7 +286,8 @@ def _solutions(coeffs, target):
     built in the given order (see _layers), except the last outer one's:
     whether a remainder completes from there is the last pair's closed
     form (see _last_pair), so an equation of width <= 3 holds no layer.
-    The layers held may not pass LISTING_REMAINDER_CAP remainders in all.
+    The layers held may not pass LISTING_REMAINDER_CAP remainders in all,
+    counted while each layer grows.
     A backward pass keeps, in each layer, only the remainders that the
     later coordinates complete.  The forward walk then steps from kept
     remainder to kept remainder, each weight increasing, so the
@@ -284,13 +302,7 @@ def _solutions(coeffs, target):
         for v in weights(target):
             yield (v, (target - a * v) // b)
         return
-    layers, held = [], 0
-    for layer in _layers(outer[:-1], target):
-        held += len(layer)
-        if held > LISTING_REMAINDER_CAP:
-            raise ValueError("listing the solutions would hold more than %d remainders"
-                             % LISTING_REMAINDER_CAP)
-        layers.append(layer)
+    layers = list(_layers(outer[:-1], target, LISTING_REMAINDER_CAP))
     # kept[i]: the remainders left after outer coordinate i that complete
     kept = []
     if layers:
@@ -382,18 +394,41 @@ def _differences(reduced, rho):
     return tuple(deltas)
 
 
+def _brauer_bound(a):
+    """Brauer's bound on the Frobenius number of a tuple a with gcd 1:
+    every integer above it is a nonnegative combination of the a_i.
+
+    With d_i = gcd(a_1, ..., a_i) it is
+    B_k = sum_{i>=2} a_i d_{i-1}/d_i - sum_i a_i (A. Brauer, On a problem
+    of partitions, Amer. J. Math. 64 (1942); Ramirez Alfonsin, The
+    Diophantine Frobenius Problem, 2005), exact for k = 2.  Proof, by
+    induction on i, that every multiple N of d_i above B_i is a
+    combination of a_1..a_i: for i = 1 the multiples of a_1 above -a_1
+    are its nonnegative ones.  For i > 1, a_i/d_i is a unit mod
+    d_{i-1}/d_i, so some u in [0, d_{i-1}/d_i) makes N - u a_i a
+    multiple of d_{i-1}, and N - u a_i > B_i - a_i d_{i-1}/d_i + a_i =
+    B_{i-1}.  Any order of a will do.
+    """
+    bound, d = -a[0], a[0]
+    for c in a[1:]:
+        e = math.gcd(d, c)
+        bound += c * d // e - c
+        d = e
+    return bound
+
+
 def solve_weight_equation(coefficients, target):
     """The nonnegative integer solutions of sum c_j w_j = target.
 
     Builds the solution set, which validates the equation; nothing is
     enumerated here.  The set's count is a quasi-polynomial in the target
-    (see _count), and each support's share of it is one more count (see
-    WeightEquationSolutionSet.supports).  Its solutions are listed on
-    first read, lex sorted, and re-verified exactly then.  The listing
-    walks only prefixes that some solution completes, and solves the last
-    pair instead of searching it (see _solutions); it raises ValueError
-    where its remainder layers would pass LISTING_REMAINDER_CAP.  An empty
-    set is a valid answer.
+    (see _count), and its feasible supports are decided by Brauer's bound
+    or a count (see WeightEquationSolutionSet.supports).  Its solutions
+    are listed on first read, lex sorted, and re-verified exactly then.
+    The listing walks only prefixes that some solution completes, and
+    solves the last pair instead of searching it (see _solutions); it
+    raises ValueError where its remainder layers would pass
+    LISTING_REMAINDER_CAP.  An empty set is a valid answer.
     """
     return WeightEquationSolutionSet(tuple(coefficients), target)
 
@@ -409,13 +444,15 @@ def classify(sol_set, zero_indices=(), profile=None):
 
     The verdict is decided from the equation, and the set is not listed.
     A support S (a set of coordinates) is feasible when some solution is
-    nonzero exactly on S, that is when its count in sol_set.supports is
-    positive; the counts are taken once per set.  The surviving solutions
-    are those whose support avoids the mask, so their support sizes, the
-    coordinates common to all of them and their number come from the
+    nonzero exactly on S; sol_set.supports decides each once per set,
+    without a count where Brauer's bound decides it.  The surviving
+    solutions are those whose support avoids the mask, so their support
+    sizes and the coordinates common to all of them come from the
     feasible supports that avoid the mask.  A singleton support {j}
-    carries the single weight target / c_j.  The mask reason's "%d of %d"
-    are the surviving supports' counts summed and the full count.
+    carries the single weight target / c_j.  Without a mask nothing is
+    counted.  The mask reason's "%d of %d" are the count of the equation
+    with the masked coordinates removed, which must lie between 1 and
+    the full count (checked), and the full count.
 
     Verdicts:
       - every surviving solution concentrated on one and the same
@@ -447,10 +484,13 @@ def classify(sol_set, zero_indices=(), profile=None):
 
     reasons = []
     if mask:
+        kept = [c for j, c in enumerate(coeffs) if j not in mask]
+        surviving, count = _count(kept, target), sol_set.count
+        check(0 < surviving <= count, "%d solutions survive the mask, not between 1 and "
+              "the count %d" % (surviving, count))
         reasons.append(
             "mask forces w%s = 0; %d of %d solutions survive"
-            % (",w".join(str(i + 1) for i in mask), sum(supports[s] for s in survivors),
-               sol_set.count)
+            % (",w".join(str(i + 1) for i in mask), surviving, count)
         )
 
     sizes = [len(s) for s in survivors]

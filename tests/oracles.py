@@ -70,6 +70,28 @@ def brute_witness(coefficients, target, support):
     return tuple(vec) if search(0, target) else None
 
 
+def brute_frobenius(coefficients):
+    """The largest integer that is no nonnegative combination of the
+    coefficients, whose gcd must be 1, or -1 when there is none.
+
+    Marks 0, 1, 2, ... in turn, each one a combination when it is 0 or
+    taking some coefficient no larger than it off lands on a marked one,
+    and stops once min(coefficients) in a row are marked: adding the
+    least coefficient marks every integer after them.
+    """
+    if math.gcd(*coefficients) != 1:
+        raise ValueError("the coefficients must have gcd 1")
+    least = min(coefficients)
+    marked = []
+    run = 0
+    while run < least:
+        t = len(marked)
+        ok = t == 0 or any(c <= t and marked[t - c] for c in coefficients)
+        marked.append(ok)
+        run = run + 1 if ok else 0
+    return len(marked) - least - 1
+
+
 def brute_classify(sol_set, zero_indices=(), profile=None):
     """The library's earlier classify, kept as written: it filters a copy
     of the solutions, builds every survivor's support tuple, and tests a

@@ -1,7 +1,7 @@
 """The weight equation: profiles, solver, classification, necessary weight."""
 
-import collections
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -28,6 +28,7 @@ from wptrans.surfacecore import InvariantError
 
 from oracles import (
     brute_classify,
+    brute_frobenius,
     brute_numerator_count,
     brute_weight_solutions,
     brute_witness,
@@ -198,6 +199,19 @@ def test_listing_refuses_past_the_remainder_cap(monkeypatch):
     assert classify(sol).status is TransitivityStatus.UNDECIDED
 
 
+def test_listing_cap_is_exact_while_a_layer_grows(monkeypatch):
+    # of the outer coordinates 1, 3 only the layer after 1 is held: the 41
+    # remainders 40..0, all from the target in one run of steps, so the
+    # cap is met or passed by the last step of the only layer
+    coefficients, target = (1, 3, 4, 5), 40
+    expected = brute_weight_solutions(coefficients, target)
+    monkeypatch.setattr(orbitweights, "LISTING_REMAINDER_CAP", 41)
+    assert list(solve_weight_equation(coefficients, target).solutions) == expected
+    monkeypatch.setattr(orbitweights, "LISTING_REMAINDER_CAP", 40)
+    with pytest.raises(ValueError, match="more than 40 remainders"):
+        solve_weight_equation(coefficients, target).solutions
+
+
 SPARSE = '''
 import time
 from wptrans.orbitweights import solve_weight_equation
@@ -233,6 +247,61 @@ def test_ascending_primorial_listing_is_refused_quickly():
         % orbitweights.LISTING_REMAINDER_CAP)
 
 
+LARGE_LCM_ARGV = ["orbit-weights", "--order", "360360", "--periods",
+                  "2,3,4,5,6,7,8,9,10,11,12,13", "--target", str(10 ** 12)]
+PEAK_KB = ("import json, resource, subprocess, sys; "
+           "done = subprocess.run(sys.argv[1:], capture_output=True, text=True); "
+           "print(json.dumps([done.returncode, done.stderr, "
+           "resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss]))")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KB is Linux's")
+def test_listing_refuses_while_its_first_layer_grows():
+    # the first layer of this listing would hold ~3.6 * 10^7 remainders,
+    # 10^12 / 27720 steps from the target alone; the cap is checked as the
+    # layer grows, so the process stops soon after 500,000.  Each run is
+    # timed and measured under its own parent, as in test_report's
+    # test_listing_memory_is_bounded
+    src = os.path.dirname(os.path.dirname(wptrans.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(*argv):
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-c", PEAK_KB, sys.executable, *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return (time.perf_counter() - start, *json.loads(done.stdout))
+
+    seconds, code, err, refused = run("-m", "wptrans.cli", *LARGE_LCM_ARGV)
+    assert seconds < 5
+    assert (code, err) == (2, "error: listing the solutions would hold more than %d "
+                              "remainders\n" % orbitweights.LISTING_REMAINDER_CAP)
+    # ~42 MB over a bare import at the cap; a whole first layer is gigabytes
+    assert refused - run("-c", "import wptrans.cli")[3] < 56 * 1024
+
+
+LARGE_LCM = '''
+import time
+from wptrans import orbitweights
+calls = []
+count = orbitweights._count
+orbitweights._count = lambda *args: calls.append(args) or count(*args)
+profile = orbitweights.orbit_profile(360360, range(2, 14))
+sol = orbitweights.solve_weight_equation(profile.orbit_sizes, 10 ** 12)
+start = time.perf_counter()
+verdict = orbitweights.classify(sol, profile=profile)
+print(time.perf_counter() - start < 1, verdict.status.value, verdict.orbit_count_range)
+print(len(calls), "count" in vars(sol))
+'''
+
+
+def test_unmasked_classify_counts_nothing_where_the_lcm_is_large():
+    # orbit sizes 360360/m for m = 13..2 and 360360: counting each of the
+    # 2^13 supports took minutes, so the run has a timeout.  Brauer's bound
+    # decides every support here, and unmasked classify counts nothing
+    assert _python(LARGE_LCM, timeout=60) == "True NotTransitive (4, 13)\n0 False\n"
+
+
 DESCENDING = '''
 from wptrans.orbitweights import orbit_profile, solve_weight_equation
 sizes = orbit_profile(%d, %r).orbit_sizes
@@ -247,18 +316,19 @@ def test_descending_primorial_lists_its_solutions():
         "13 13 (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 37) (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)\n")
 
 
-# PSL13 has ten solutions; a count of 11 cannot be split among its supports
-PARTITION_ERROR = "support counts sum to 10, not to the count 11"
+# three of PSL13's ten solutions vanish on w1 and w2, so a count of 2
+# cannot hold them
+MASKED_COUNT_ERROR = "3 solutions survive the mask, not between 1 and the count 2"
 
 
-def test_support_counts_must_sum_to_the_count():
-    # every solution has exactly one support, so the support counts
-    # partition the count, and a wrong count is caught when supports is read
+def test_masked_count_must_lie_within_the_count():
+    # the solutions that survive a mask are some of all the solutions, and
+    # at least one, so a wrong count is caught when a masked classify reads it
     sol = solve_weight_equation(*PSL13)
-    sol.__dict__["count"] = 11
+    sol.__dict__["count"] = 2
     with pytest.raises(InvariantError) as caught:
-        sol.supports
-    assert str(caught.value) == PARTITION_ERROR
+        classify(sol, zero_indices=(0, 1))
+    assert str(caught.value) == MASKED_COUNT_ERROR
 
 
 def test_solution_set_check_survives_optimize():
@@ -272,13 +342,13 @@ def test_solution_set_check_survives_optimize():
             "    except InvariantError as exc:\n"
             "        print('raised:', exc)\n"
             "sol = orbitweights.solve_weight_equation(%r, %r)\n"
-            "sol.__dict__['count'] = 11\n"
+            "sol.__dict__['count'] = 2\n"
             "try:\n"
-            "    sol.supports\n"
+            "    orbitweights.classify(sol, zero_indices=(0, 1))\n"
             "except InvariantError as exc:\n"
             "    print('raised:', exc)\n" % (FALSE_LISTINGS, *PSL13))
     assert _python(code, "-O") == "".join(
-        "raised: %s\n" % m for m in FALSE_LISTING_ERRORS + (PARTITION_ERROR,))
+        "raised: %s\n" % m for m in FALSE_LISTING_ERRORS + (MASKED_COUNT_ERROR,))
 
 
 def _outcome(classifier, sol_set, mask, profile):
@@ -307,9 +377,9 @@ def _supports(n):
 def test_classify_matches_brute_oracle(coefficients, data):
     # every mask subset, plus one index out of range; with or without a
     # profile; the oracle reads the full listing, classify the equation.
-    # A support is counted feasible exactly when the depth-first oracle
-    # finds a witness, every support count and masked count agrees with
-    # the listing, and supports run by size and then lex
+    # A support is feasible exactly when the depth-first oracle finds a
+    # witness, the feasible supports are those of the listing, by size and
+    # then lex, and every masked count agrees with the listing
     target = data.draw(st.integers(0, _max_target(coefficients, ORACLE_BUDGET)))
     sol_set = solve_weight_equation(coefficients, target)
     listing = brute_weight_solutions(coefficients, target)
@@ -318,9 +388,8 @@ def test_classify_matches_brute_oracle(coefficients, data):
     for support in _supports(n):
         assert (support in sol_set.supports) == (
             brute_witness(coefficients, target, support) is not None), support
-    tally = collections.Counter(tuple(j for j, w in enumerate(v) if w) for v in listing)
-    assert dict(sol_set.supports) == dict(tally)
-    assert list(sol_set.supports) == sorted(tally, key=lambda s: (len(s), s))
+    listed = {tuple(j for j, w in enumerate(v) if w) for v in listing}
+    assert sol_set.supports == tuple(sorted(listed, key=lambda s: (len(s), s)))
     profile = None
     if data.draw(st.booleans()):
         # classify reads only stabilizer_orders, to flag the free orbit
@@ -329,12 +398,24 @@ def test_classify_matches_brute_oracle(coefficients, data):
     masks = _supports(n)
     for mask in masks:
         kept = [c for j, c in enumerate(coefficients) if j not in mask]
-        if kept:
-            assert orbitweights._count(kept, target) == sum(
-                1 for v in listing if not any(v[i] for i in mask)), mask
+        assert orbitweights._count(kept, target) == sum(
+            1 for v in listing if not any(v[i] for i in mask)), mask
     for mask in masks + [(n,)]:
         assert (_outcome(classify, sol_set, mask, profile)
                 == _outcome(brute_classify, sol_set, mask, profile)), mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=5)
+       .filter(lambda a: math.gcd(*a) == 1))
+def test_brauer_bound_is_at_least_the_frobenius_number(a):
+    # in the order drawn, since any order gives a bound; exact for a pair
+    # (Sylvester: ab - a - b)
+    bound = orbitweights._brauer_bound(a)
+    frobenius = brute_frobenius(a)
+    assert bound >= frobenius
+    if len(a) == 2:
+        assert bound == frobenius
 
 
 @pytest.mark.parametrize("coefficients", [
@@ -468,13 +549,19 @@ def test_large_coprime_periods_keep_the_walk():
     assert time.perf_counter() - start < 1
     assert verdict.reasons[0] == "mask forces w1 = 0; 496 of 5456 solutions survive"
     assert (verdict.status, verdict.orbit_count_range) == (TransitivityStatus.UNDECIDED, (1, 3))
-    # lcm(c) is about 10^15: each support with all three coordinates is
-    # walked with about 3 * 10^5 steps outermost, and the support counts
-    # still sum to the count
+    # lcm(c) is about 10^15: the count of the solutions nonzero on all
+    # three coordinates is walked with about 3 * 10^5 steps outermost, and
+    # the counts of the feasible supports sum to the count
     coeffs = (200_003, 100_003, 65_537)
-    sol = solve_weight_equation(coeffs, 65_537 * 10 ** 6 + sum(coeffs))
-    assert sol.supports == {(0, 1): 4, (0, 2): 5, (1, 2): 10, (0, 1, 2): 1_638_360}
-    assert sol.count == 1_638_379
+    target = 65_537 * 10 ** 6 + sum(coeffs)
+    sol = solve_weight_equation(coeffs, target)
+    assert sol.supports == ((0, 1), (0, 2), (1, 2), (0, 1, 2))
+    counts = []
+    for support in sol.supports:
+        sub = [coeffs[j] for j in support]
+        counts.append(orbitweights._count(sub, target - sum(sub)))
+    assert counts == [4, 5, 10, 1_638_360]
+    assert sum(counts) == sol.count == 1_638_379
 
 
 WIDE = '''
