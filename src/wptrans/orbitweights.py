@@ -23,9 +23,12 @@ with equal remainders merged, at a cost polynomial in the equation's
 width; see _layers, _count and _walk_count.  A support is decided by a
 certificate, Brauer's bound on the Frobenius number, and counted only
 where the bound cannot decide it; see _brauer_bound and
-WeightEquationSolutionSet.supports.  A listing reads the same layers,
-keeps the remainders that complete, and walks only the prefixes through
-them; see _solutions.
+WeightEquationSolutionSet.supports.  Each support's sum, gcd and bound
+depend only on the gcd-reduced coefficients, so they are tabled once per
+reduced tuple, like the count's differences, and the genera of a
+triangle signature share one table; see _certificates.  A listing reads
+the same layers, keeps the remainders that complete, and walks only the
+prefixes through them; see _solutions.
 
 This module also carries the necessary-condition arithmetic
 w = |G_p| (g^3 - g) / |G| and the simple-point elimination chain.
@@ -171,28 +174,32 @@ class WeightEquationSolutionSet:
         """Every feasible support, by size and then lex: each sorted index
         tuple S for which some solution is nonzero exactly on S.
 
-        w_j = u_j + 1 on S turns those solutions into the nonnegative
-        solutions u of sum_S c_j u_j = rest, rest = target - sum_S c_j.
-        With d = gcd(c_S) there is one exactly when rest >= 0, d divides
-        rest, and rest/d is a nonnegative combination of the c_S/d:
-        certainly so when rest/d is above Brauer's bound for c_S/d (see
-        _brauer_bound), and otherwise when _count finds a solution.  The
-        empty support is feasible when the target is 0.  Decided once per
-        set: classifications of one set under different masks share them.
+        Divide by g = gcd(c): no support is feasible unless g divides the
+        target, and then the equation in c/g with target t = target/g has
+        the same supports.  w_j = u_j + 1 on S turns its solutions into the
+        nonnegative solutions u of sum_S c_j u_j = rest, rest = t -
+        sum_S c_j.  With d = gcd(c_S) there is one exactly when rest >= 0,
+        d divides rest, and rest/d is a nonnegative combination of the
+        c_S/d: certainly so when rest/d is above Brauer's bound for c_S/d
+        (see _brauer_bound), and otherwise when _count finds a solution.
+        Each support's sum, d and bound depend on c/g alone and are read
+        from _certificates, so a support costs a subtraction, a modulo and
+        a comparison unless it falls back to a count.  The empty support
+        is feasible when the target is 0.  Decided once per set:
+        classifications of one set under different masks share them.
         """
         coeffs, target = self.coefficients, self.target
-        n = len(coeffs)
-        feasible = [()] if target == 0 else []
-        for size in range(1, n + 1):
-            for s in itertools.combinations(range(n), size):
-                sub = [coeffs[j] for j in s]
-                rest = target - sum(sub)
-                if rest < 0:
-                    continue
-                d = math.gcd(*sub)
-                if rest % d == 0 and (rest // d > _brauer_bound(sorted(c // d for c in sub))
-                                      or _count(sub, rest)):
-                    feasible.append(s)
+        g = math.gcd(*coeffs)
+        if target % g:
+            return ()
+        reduced, t = tuple(c // g for c in coeffs), target // g
+        feasible = [()] if t == 0 else []
+        for s, total, d, bound in _certificates(reduced):
+            rest = t - total
+            # a multiple of d above bound is >= 0 (see _certificates)
+            if rest % d == 0 and (rest > bound
+                                  or rest >= 0 and _count([reduced[j] for j in s], rest)):
+                feasible.append(s)
         return tuple(feasible)
 
     @functools.cached_property
@@ -396,7 +403,9 @@ def _differences(reduced, rho):
 
 def _brauer_bound(a):
     """Brauer's bound on the Frobenius number of a tuple a with gcd 1:
-    every integer above it is a nonnegative combination of the a_i.
+    every integer above it is a nonnegative combination of the a_i.  For
+    a tuple with gcd d it is d times the bound for a/d, and every multiple
+    of d above it is a combination.
 
     With d_i = gcd(a_1, ..., a_i) it is
     B_k = sum_{i>=2} a_i d_{i-1}/d_i - sum_i a_i (A. Brauer, On a problem
@@ -415,6 +424,31 @@ def _brauer_bound(a):
         bound += c * d // e - c
         d = e
     return bound
+
+
+# the widest table the CLI can ask for (13 coefficients, 8,191 rows) holds
+# ~2.0 MB under tracemalloc on CPython 3.11, so 16 tables stay under ~33 MB
+@functools.lru_cache(maxsize=16)
+def _certificates(reduced):
+    """One row (S, sum c_S, d, bound) per nonempty support S, by size and
+    then lex, where c = reduced, d = gcd(c_S) and bound is Brauer's bound
+    for the sorted c_S (see _brauer_bound).
+
+    reduced is a coefficient tuple with gcd 1 in the solution set's
+    order.  bound is d times the bound for c_S/d, so a rest that d
+    divides is above it exactly when rest/d is above the bound for
+    c_S/d.  That bound is at least -1, the largest integer that no
+    nonnegative combination reaches, so such a rest is nonnegative.  For
+    a triangle action reduced depends only on the periods, so every genus
+    of a signature reads one table.  A row holds no copy of c_S: the rare
+    count below the bound rebuilds it from S.
+    """
+    rows = []
+    for size in range(1, len(reduced) + 1):
+        for s in itertools.combinations(range(len(reduced)), size):
+            sub = [reduced[j] for j in s]
+            rows.append((s, sum(sub), math.gcd(*sub), _brauer_bound(sorted(sub))))
+    return tuple(rows)
 
 
 def solve_weight_equation(coefficients, target):
@@ -445,14 +479,16 @@ def classify(sol_set, zero_indices=(), profile=None):
     The verdict is decided from the equation, and the set is not listed.
     A support S (a set of coordinates) is feasible when some solution is
     nonzero exactly on S; sol_set.supports decides each once per set,
+    from a certificate tabled once per reduced coefficient tuple, and
     without a count where Brauer's bound decides it.  The surviving
-    solutions are those whose support avoids the mask, so their support
-    sizes and the coordinates common to all of them come from the
-    feasible supports that avoid the mask.  A singleton support {j}
-    carries the single weight target / c_j.  Without a mask nothing is
-    counted.  The mask reason's "%d of %d" are the count of the equation
-    with the masked coordinates removed, which must lie between 1 and
-    the full count (checked), and the full count.
+    solutions are those whose support avoids the mask.  Supports run by
+    size, so the first and last of those give the fewest and most
+    orbits, and the coordinates common to all surviving solutions are
+    the intersection of those supports.  A singleton support {j} carries
+    the single weight target / c_j.  Without a mask nothing is counted.
+    The mask reason's "%d of %d" are the count of the equation with the
+    masked coordinates removed, which must lie between 1 and the full
+    count (checked), and the full count.
 
     Verdicts:
       - every surviving solution concentrated on one and the same
@@ -474,11 +510,12 @@ def classify(sol_set, zero_indices=(), profile=None):
     mask = tuple(zero_indices)
     if not _integers(*mask):
         raise ValueError("mask indices must be integers, got %r" % (mask,))
-    mask = tuple(sorted(set(mask)))
+    masked = set(mask)
+    mask = tuple(sorted(masked))
     for i in mask:
         if not 0 <= i < n:
             raise ValueError("mask index %d out of range" % i)
-    survivors = [s for s in supports if set(mask).isdisjoint(s)]
+    survivors = [s for s in supports if masked.isdisjoint(s)]
     if not survivors:
         raise ValueError("inconsistent constraints: no solutions survive the mask")
 
@@ -493,9 +530,8 @@ def classify(sol_set, zero_indices=(), profile=None):
             % (",w".join(str(i + 1) for i in mask), surviving, count)
         )
 
-    sizes = [len(s) for s in survivors]
-    lo, hi = min(sizes), max(sizes)
-    guaranteed = tuple(j for j in range(n) if all(j in s for s in survivors))
+    lo, hi = len(survivors[0]), len(survivors[-1])
+    guaranteed = tuple(sorted(set(survivors[0]).intersection(*survivors[1:])))
     for j in guaranteed:
         reasons.append(
             "coordinate w%d is nonzero in every surviving solution: "

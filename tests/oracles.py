@@ -13,7 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from wptrans.fermat import FermatPoint, PointClass
-from wptrans.orbitweights import TransitivityStatus, TransitivityVerdict
+from wptrans.orbitweights import (
+    TransitivityStatus,
+    TransitivityVerdict,
+    _brauer_bound,
+    _count,
+)
 
 
 def brute_weight_solutions(coefficients, target):
@@ -68,6 +73,27 @@ def brute_witness(coefficients, target, support):
         return False
 
     return tuple(vec) if search(0, target) else None
+
+
+def brute_supports(coefficients, target):
+    """The library's earlier support loop, kept as written: every subset S
+    by size and then lex, unreduced, with its sum, gcd and Brauer's bound
+    computed afresh.  It shares _brauer_bound and _count with the library;
+    brute_witness checks feasibility with neither.
+    """
+    n = len(coefficients)
+    feasible = [()] if target == 0 else []
+    for size in range(1, n + 1):
+        for s in itertools.combinations(range(n), size):
+            sub = [coefficients[j] for j in s]
+            rest = target - sum(sub)
+            if rest < 0:
+                continue
+            d = math.gcd(*sub)
+            if rest % d == 0 and (rest // d > _brauer_bound(sorted(c // d for c in sub))
+                                  or _count(sub, rest)):
+                feasible.append(s)
+    return tuple(feasible)
 
 
 def brute_frobenius(coefficients):

@@ -10,7 +10,7 @@ import time
 import types
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import wptrans
 from wptrans import orbitweights
@@ -30,6 +30,7 @@ from oracles import (
     brute_classify,
     brute_frobenius,
     brute_numerator_count,
+    brute_supports,
     brute_weight_solutions,
     brute_witness,
     oracle_cost,
@@ -410,12 +411,49 @@ def test_classify_matches_brute_oracle(coefficients, data):
        .filter(lambda a: math.gcd(*a) == 1))
 def test_brauer_bound_is_at_least_the_frobenius_number(a):
     # in the order drawn, since any order gives a bound; exact for a pair
-    # (Sylvester: ab - a - b)
+    # (Sylvester: ab - a - b).  Scaled by d it bounds the multiples of d
     bound = orbitweights._brauer_bound(a)
     frobenius = brute_frobenius(a)
     assert bound >= frobenius
+    assert orbitweights._brauer_bound([3 * c for c in a]) == 3 * bound
     if len(a) == 2:
         assert bound == frobenius
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=6),
+    st.integers(0, 400),
+    st.integers(1, 6),
+)
+# (4, 6) with d = 2 leaves rest 2 = d * B, B = 1 for (2, 3): a bound
+# compared unscaled would call 1 = 2/d a combination of 2 and 3
+@example([4, 6, 1], 12, 1)
+def test_supports_are_the_same_for_every_multiple_of_the_equation(coefficients, target, k):
+    # supports read one certificate table per gcd-reduced tuple, so an
+    # equation scaled by k has the same supports, and both equal the
+    # earlier loop over unreduced subsets; a target the gcd misses has none
+    scaled = [k * c for c in coefficients]
+    supports = solve_weight_equation(coefficients, target).supports
+    assert solve_weight_equation(scaled, k * target).supports == supports
+    assert supports == brute_supports(coefficients, target)
+    assert brute_supports(scaled, k * target) == supports
+    if k > 1:
+        assert solve_weight_equation(scaled, k * target + 1).supports == ()
+
+
+def test_one_certificate_table_serves_every_genus_of_a_signature():
+    # the orbit sizes of a (2,3,7) action reduce to (6, 14, 21, 42) at
+    # every genus, so four genera build one table
+    orbitweights._certificates.cache_clear()
+    for genus in (3, 7, 14, 50):
+        profile = orbit_profile(84 * (genus - 1), (2, 3, 7))
+        classify(solve_weight_equation(profile.orbit_sizes, genus ** 3 - genus),
+                 profile=profile)
+    info = orbitweights._certificates.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    rows = orbitweights._certificates((6, 14, 21, 42))
+    assert [row[0] for row in rows] == _supports(4)[1:]
 
 
 @pytest.mark.parametrize("coefficients", [

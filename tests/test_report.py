@@ -64,6 +64,21 @@ def test_row_12_presentation_has_the_printed_order():
     assert brute_coset_enumeration(humbert.presentation) == humbert.order == 160
 
 
+@pytest.mark.parametrize("number, label, q", [
+    (5, "(2,3,8;3)", 3),
+    (6, "PSL(2,7)", 4),   # PSL(2,7) is (2,3,7;4)
+    (8, "S5", 3),         # S5 is (2,4,5;3)
+])
+def test_rows_of_type_l_m_n_q_have_the_printed_order(number, label, q):
+    # a map of type {p,k} is a quotient of the (2,k,p) triangle group, and
+    # the (l,m,n;q) group adds that the commutator has order q
+    row = load_dataset()[number - 1]
+    p, k = row.type_pair
+    presentation = "<x,y | x^2 = y^%d = (xy)^%d = (x^-1 y^-1 x y)^%d = 1>" % (k, p, q)
+    assert row.group == label
+    assert brute_coset_enumeration(presentation) == row.order
+
+
 def test_validation_passes_shipped_dataset():
     report = validate_section6_dataset()
     assert report.ok
