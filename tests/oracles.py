@@ -471,41 +471,17 @@ def brute_perm_order_and_fixed(images):
     return order, fixed
 
 
-class BrutePSL2:
-    """PSL(2, p^n) as explicit 2x2 matrices over brute_field_tables codes.
+class BruteGroup:
+    """A finite group listed in full: its elements, identity and product.
 
-    An element is a det-1 tuple (a, b, c, d) for the matrix (a, b; c, d);
-    for odd q it stands for {M, -M} and is stored as the smaller tuple.
-    elements lists the group in the order SL(2,q) is walked: a != 0
-    with d = (1 + bc)/a, then a = 0 with c = -1/b and d free.
+    times(m1, m2) multiplies two elements; every method below only
+    multiplies, so one class serves matrix and permutation groups alike.
     """
 
-    def __init__(self, p, n):
-        q = p ** n
-        add, mul, inv, neg = brute_field_tables(p, n, brute_first_irreducible(p, n))
-        self.p, self.q = p, q
-        self._add, self._mul, self._neg = add, mul, neg
-        found = set()
-        for a in range(1, q):
-            for b in range(q):
-                for c in range(q):
-                    found.add(self.canonical((a, b, c, mul[add[mul[b][c]][1]][inv[a]])))
-        for b in range(1, q):
-            for d in range(q):
-                found.add(self.canonical((0, b, neg[inv[b]], d)))
-        self.elements = sorted(found)
-        self.identity = self.canonical((1, 0, 0, 1))
-        self._conjugates = {}
-
-    def canonical(self, m):
-        return min(m, tuple(self._neg[x] for x in m))
-
-    def times(self, m1, m2):
-        add, mul = self._add, self._mul
-        a, b, c, d = m1
-        e, f, g, h = m2
-        return self.canonical((add[mul[a][e]][mul[b][g]], add[mul[a][f]][mul[b][h]],
-                               add[mul[c][e]][mul[d][g]], add[mul[c][f]][mul[d][h]]))
+    def __init__(self, elements, times, identity):
+        self.elements = sorted(elements)
+        self.times = times
+        self.identity = identity
 
     def order(self, m):
         k, power = 1, m
@@ -551,6 +527,43 @@ class BrutePSL2:
             frontier = fresh
         return seen
 
+
+class BrutePSL2(BruteGroup):
+    """PSL(2, p^n) as explicit 2x2 matrices over brute_field_tables codes.
+
+    An element is a det-1 tuple (a, b, c, d) for the matrix (a, b; c, d);
+    for odd q it stands for {M, -M} and is stored as the smaller tuple.
+    elements lists the group in the order SL(2,q) is walked: a != 0
+    with d = (1 + bc)/a, then a = 0 with c = -1/b and d free.
+    """
+
+    def __init__(self, p, n):
+        q = p ** n
+        add, mul, inv, neg = brute_field_tables(p, n, brute_first_irreducible(p, n))
+        self.p, self.q = p, q
+        self._add, self._mul, self._neg = add, mul, neg
+        found = set()
+        for a in range(1, q):
+            for b in range(q):
+                for c in range(q):
+                    found.add(self.canonical((a, b, c, mul[add[mul[b][c]][1]][inv[a]])))
+        for b in range(1, q):
+            for d in range(q):
+                found.add(self.canonical((0, b, neg[inv[b]], d)))
+        self.elements = sorted(found)
+        self.identity = self.canonical((1, 0, 0, 1))
+        self._conjugates = {}
+
+    def canonical(self, m):
+        return min(m, tuple(self._neg[x] for x in m))
+
+    def times(self, m1, m2):
+        add, mul = self._add, self._mul
+        a, b, c, d = m1
+        e, f, g, h = m2
+        return self.canonical((add[mul[a][e]][mul[b][g]], add[mul[a][f]][mul[b][h]],
+                               add[mul[c][e]][mul[d][g]], add[mul[c][f]][mul[d][h]]))
+
     def conjugates(self, g):
         """{h^-1 g h: number of h giving it}, over every h in the group."""
         if g not in self._conjugates:
@@ -582,6 +595,26 @@ def brute_generating_pair(group, t=None):
             continue
         if len(group.generated((x, y))) == size:
             return x, y
+    return None
+
+
+def brute_map_pair(group, k, p):
+    """(x, y) of orders 2 and k, with xy of order p, that generates group.
+
+    Such a pair makes group the rotation group of a regular map of type
+    {p, k}: y turns about a vertex, xy about a face, x about an edge.
+    Every involution and every element of order k are tried, in elements
+    order.  The pair must generate exactly the listed elements, which
+    shows the list is a group; None if no pair does.
+    """
+    everything = set(group.elements)
+    for x in group.elements:
+        if group.order(x) != 2:
+            continue
+        for y in group.elements:
+            if group.order(y) == k and group.order(group.times(x, y)) == p \
+                    and group.generated((x, y)) == everything:
+                return x, y
     return None
 
 

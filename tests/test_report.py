@@ -1,5 +1,6 @@
 """The embedded dataset, the report layer, and the command line."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -27,7 +28,13 @@ from wptrans.report import (
 )
 from wptrans.orbitweights import TransitivityStatus, TransitivityVerdict
 
-from oracles import brute_coset_enumeration, brute_render_json, brute_render_text
+from oracles import (
+    BruteGroup,
+    brute_coset_enumeration,
+    brute_map_pair,
+    brute_render_json,
+    brute_render_text,
+)
 
 
 def test_load_dataset_rows():
@@ -77,6 +84,80 @@ def test_rows_of_type_l_m_n_q_have_the_printed_order(number, label, q):
     presentation = "<x,y | x^2 = y^%d = (xy)^%d = (x^-1 y^-1 x y)^%d = 1>" % (k, p, q)
     assert row.group == label
     assert brute_coset_enumeration(presentation) == row.order
+
+
+def _matrices_mod(n, det_ok):
+    """2x2 matrices (a, b; c, d) over Z/n, as (a, b, c, d), whose determinant passes."""
+    return [m for m in itertools.product(range(n), repeat=4)
+            if det_ok((m[0] * m[3] - m[1] * m[2]) % n)]
+
+
+def _matrix_times(n, canonical=lambda m: m):
+    def times(m1, m2):
+        a, b, c, d = m1
+        e, f, g, h = m2
+        return canonical(((a * e + b * g) % n, (a * f + b * h) % n,
+                          (c * e + d * g) % n, (c * f + d * h) % n))
+    return times
+
+
+def _permutation_times(m1, m2):
+    return tuple(m1[i] for i in m2)
+
+
+def _with_c2(perms, points):
+    """perms, each extended by the identity or the swap of two new points."""
+    return [perm + swap for perm in perms for swap in ((points, points + 1), (points + 1, points))]
+
+
+def _gl_2_3():
+    return BruteGroup(_matrices_mod(3, lambda det: det != 0), _matrix_times(3), (1, 0, 0, 1))
+
+
+def _s4_x_c2():
+    return BruteGroup(_with_c2(list(itertools.permutations(range(4))), 4),
+                      _permutation_times, tuple(range(6)))
+
+
+def _c2_x_a5():
+    a5 = [perm for perm in itertools.permutations(range(5))
+          if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 == 0]  # even
+    return BruteGroup(_with_c2(a5, 5), _permutation_times, tuple(range(7)))
+
+
+@pytest.mark.parametrize("number, label, build", [
+    (2, "GL(2,3)", _gl_2_3),
+    (4, "S4 x C2", _s4_x_c2),
+    (10, "C2 x A5", _c2_x_a5),
+])
+def test_rows_with_a_named_group_have_a_generating_pair_of_their_type(number, label, build):
+    # the row's group, listed explicitly, is generated by x, y with x^2 =
+    # y^k = (xy)^p = 1 for its type {p,k}; row 10's printed pair {3,10} is
+    # normalized to {10,3}
+    row = load_dataset()[number - 1]
+    p, k = sorted(row.type_pair, reverse=True)
+    group = build()
+    assert row.group == label
+    assert len(group.elements) == row.order
+    assert brute_map_pair(group, k, p) is not None
+
+
+def test_row_11_facts_behind_its_note():
+    # the note says SL(2,Z/8) has 384 elements, not the printed 192; its
+    # quotient by {I, -I} has 192 and carries a map of the row's type {8,3}
+    row = load_dataset()[10]
+    assert row.group == "SL(2,Z/8)" and "384" in row.note
+    sl_2_8 = _matrices_mod(8, lambda det: det == 1)
+    assert len(sl_2_8) == 384
+
+    def canonical(m):
+        return min(m, tuple(-x % 8 for x in m))
+
+    psl_2_8 = BruteGroup({canonical(m) for m in sl_2_8}, _matrix_times(8, canonical),
+                         (1, 0, 0, 1))
+    assert len(psl_2_8.elements) == row.order == 192
+    assert row.type_pair == (8, 3)
+    assert brute_map_pair(psl_2_8, 3, 8) is not None
 
 
 def test_validation_passes_shipped_dataset():
