@@ -1,8 +1,8 @@
 """PSL(2,q) made concrete: GF(p^n) as lookup tables (q <= 32, filled by
-a digit recurrence, the modulus the first with no zero divisors), an
-element-order census by trace class size (each q's census walked and
-checked once per process), Macbeath's Hurwitz classification, and
-transitivity verdicts.
+a digit recurrence, the modulus the first with no zero divisors, each
+field built once per process), an element-order census by trace class
+size (walked and checked once per field), Macbeath's Hurwitz
+classification, and transitivity verdicts.
 
 The census is the oracle of this package, and it rests on one lemma.
 A non-scalar M in SL(2,q) of trace t is GL(2,q)-conjugate to the
@@ -86,6 +86,11 @@ class FiniteField:
         return self._tables
 
 
+# one field per (p, n), built on first use: at most the 18 prime powers
+# q <= CENSUS_Q_LIMIT, about 20 KB of tables
+_FIELDS = {}
+
+
 def field_build(p, n):
     """GF(p^n), p prime and p**n <= CENSUS_Q_LIMIT, as lookup tables.
 
@@ -96,9 +101,9 @@ def field_build(p, n):
     table has no zero divisors (the first irreducible; X when n = 1).
     The per-entry polynomial oracle is tests/oracles.py:brute_field_tables.
 
-    Each call builds a new field; order_census keeps each q's finished
-    census, so the census builds each field at most once per process.
-    The tables are tuples of tuples, which no reader can change.
+    Each field is built once per process and kept in _FIELDS, so every
+    call after the first returns the same object; its tables are tuples
+    of tuples, which no caller can change under another.
     """
     if not is_prime(p):
         raise ValueError("%r is not prime" % (p,))
@@ -109,6 +114,14 @@ def field_build(p, n):
     q = p ** n
     if q > CENSUS_Q_LIMIT:
         raise ValueError("field size %d exceeds the desk-scale bound %d" % (q, CENSUS_Q_LIMIT))
+    field = _FIELDS.get((p, n))
+    if field is None:
+        field = _FIELDS[p, n] = _new_field(p, n, q)
+    return field
+
+
+def _new_field(p, n, q):
+    """GF(p^n) with its tables filled by the digit recurrence; see field_build."""
     add = [list(range(q))]
     for x in range(1, q):
         add.append([(x + y) % p + p * add[x // p][y // p] for y in range(q)])
@@ -191,8 +204,8 @@ def _cycle_order(add_t, inv, neg):
     return order
 
 
-def _census_counts(p, n):
-    """Element-order counts of PSL(2, p^n), tallied by trace class.
+def _census_counts(field):
+    """Element-order counts of PSL(2, field.q), tallied by trace class.
 
     For each trace t, the companion permutation x -> -1/(x + t) of the
     projective line (the q field codes plus a point at infinity) has
@@ -204,9 +217,8 @@ def _census_counts(p, n):
     element (the classes of t and -t are equal, that of t = 0 even); the
     identity is counted last.
     """
-    field = field_build(p, n)
     add, mul, inv, neg = field.tables()
-    q = field.q
+    p, q = field.p, field.q
 
     counts = {}
     for t, r in enumerate(_root_counts(q, add, mul, inv, neg)):
@@ -225,8 +237,8 @@ def _census_counts(p, n):
     return counts
 
 
-# (order, count) rows of each q's checked census: at most the 18 prime
-# powers q <= CENSUS_Q_LIMIT, about 11 KB
+# (order, count) rows of each field's checked census, keyed by the
+# field in _FIELDS: at most 18 entries, about 11 KB
 _CENSUSES = {}
 
 
@@ -239,8 +251,9 @@ def order_census(q):
     q(q^2-1)/gcd(2,q-1) and every occurring order is checked against
     the arithmetic realizability predicate.
 
-    The first census of each q walks its trace classes and, once every
-    check has passed, is kept in _CENSUSES; later calls rebuild the
+    Every call reads its field from field_build.  The first census of
+    each field walks its trace classes and, once every check has passed,
+    is kept in _CENSUSES under that field; later calls rebuild the
     record from those rows, rerunning the coverage and identity checks.
     Every call returns a new record with its own counts dict.
     """
@@ -250,14 +263,15 @@ def order_census(q):
             "census is a desk-scale oracle, q <= %d; use the arithmetic "
             "order predicates for larger q" % CENSUS_Q_LIMIT
         )
-    rows = _CENSUSES.get(q)
+    field = field_build(p, n)
+    rows = _CENSUSES.get(field)
     if rows is not None:
         return OrderCensus(q, psl2_order(q), dict(rows))
-    census = OrderCensus(q, psl2_order(q), _census_counts(p, n))
+    census = OrderCensus(q, psl2_order(q), _census_counts(field))
     for d in census.orders():
         check(is_realizable_order(q, d),
               "census found order %d in PSL(2,%d) outside the arithmetic predicate" % (d, q))
-    _CENSUSES[q] = tuple(census.counts.items())
+    _CENSUSES[field] = tuple(census.counts.items())
     return census
 
 

@@ -155,18 +155,23 @@ def test_field_tables_match_polynomial_oracle():
                                   tuple(inv), tuple(neg)), q
 
 
-def test_field_build_gives_immutable_tables_and_rejects_bad_input():
-    # the tables are read-only, so no reader can change them under another
+def test_field_build_memo_shares_immutable_fields():
+    # each field is built once and shared, so its tables must be read-only
     for q in PRIME_POWERS_32:
         p, n = prime_power(q)
-        add, mul, inv, neg = field_build(p, n).tables()
+        field = field_build(p, n)
+        assert field_build(p, n) is field, q
+        add, mul, inv, neg = field.tables()
         assert type(inv) is tuple and type(neg) is tuple, q
         for table in (add, mul):
             assert type(table) is tuple and all(type(row) is tuple for row in table), q
-    # 1.0 and True are no extension degree, even where they equal 1
+    # a rejected (p, n) never enters the memo; 1.0 and True would alias n = 1
     for p, n in ((4, 1), (6, 1), (2, 0), (2, 1.0), (2, True), (True, 1), (2, 6), (3, 4)):
         with pytest.raises(ValueError):
             field_build(p, n)
+    for p, n in pslgroups._FIELDS:
+        assert type(p) is int and type(n) is int, (p, n)
+        assert prime_power(p ** n) == (p, n) and p ** n <= CENSUS_Q_LIMIT, (p, n)
 
 
 def test_psl2_order():
@@ -209,7 +214,7 @@ def test_census_matches_projective_oracle():
 def test_census_checks_raise_invariant_error(monkeypatch):
     # each check starts from an empty memo, so q = 7 is walked, not recalled
     monkeypatch.setattr(pslgroups, "_CENSUSES", {})
-    monkeypatch.setattr(pslgroups, "_census_counts", lambda p, n: {1: 1})
+    monkeypatch.setattr(pslgroups, "_census_counts", lambda field: {1: 1})
     with pytest.raises(InvariantError, match="does not cover the group"):
         order_census(7)
     monkeypatch.undo()
@@ -237,14 +242,14 @@ def test_census_memo_hands_each_caller_its_own_record():
     assert order_census(17).counts == second.counts == brute_projective_census(17, 1)
 
 
-def test_census_walks_each_q_once(monkeypatch):
+def test_census_walks_each_field_once(monkeypatch):
     monkeypatch.setattr(pslgroups, "_CENSUSES", {})
     walked = []
     walk = pslgroups._census_counts
 
-    def counted(p, n):
-        walked.append(p ** n)
-        return walk(p, n)
+    def counted(field):
+        walked.append(field.q)
+        return walk(field)
 
     monkeypatch.setattr(pslgroups, "_census_counts", counted)
     first = [order_census(q) for q in PRIME_POWERS_32]
@@ -255,35 +260,54 @@ def test_census_walks_each_q_once(monkeypatch):
     assert [list(c.counts.items()) for c in again] == [list(c.counts.items()) for c in first]
 
 
+def test_every_census_reads_its_field_from_field_build(monkeypatch):
+    # hit or miss, each census asks field_build once for its field, so
+    # how often a pass calls field_build does not depend on what ran before
+    monkeypatch.setattr(pslgroups, "_CENSUSES", {})
+    asked = []
+    build = pslgroups.field_build
+
+    def counted(p, n):
+        asked.append(p ** n)
+        return build(p, n)
+
+    monkeypatch.setattr(pslgroups, "field_build", counted)
+    for _ in range(2):
+        asked.clear()
+        for q in PRIME_POWERS_32:
+            order_census(q)
+        assert asked == list(PRIME_POWERS_32)
+
+
 def test_census_memo_keeps_no_census_that_fails_a_check(monkeypatch):
     monkeypatch.setattr(pslgroups, "_CENSUSES", {})
     # covers the group and counts the identity once, but order 6 is no
     # element order of PSL(2,7): only the realizability check fails
-    monkeypatch.setattr(pslgroups, "_census_counts", lambda p, n: {1: 1, 6: 167})
+    monkeypatch.setattr(pslgroups, "_census_counts", lambda field: {1: 1, 6: 167})
     with pytest.raises(InvariantError, match="order 6 in PSL\\(2,7\\)"):
         order_census(7)
-    assert 7 not in pslgroups._CENSUSES
+    assert pslgroups._CENSUSES == {}
     monkeypatch.undo()
     monkeypatch.setattr(pslgroups, "_CENSUSES", {})
     assert order_census(7).counts == {1: 1, 2: 21, 3: 56, 4: 42, 7: 48}
-    assert pslgroups._CENSUSES == {7: ((2, 21), (3, 56), (7, 48), (4, 42), (1, 1))}
+    gf7 = field_build(7, 1)
+    assert pslgroups._CENSUSES == {gf7: ((2, 21), (3, 56), (7, 48), (4, 42), (1, 1))}
     # a recalled census is checked again: rows that miss the group fail
-    monkeypatch.setattr(pslgroups, "_CENSUSES", {7: ((1, 1),)})
+    monkeypatch.setattr(pslgroups, "_CENSUSES", {gf7: ((1, 1),)})
     with pytest.raises(InvariantError, match="does not cover the group"):
         order_census(7)
 
 
-def test_census_memo_keys_are_int_prime_powers_in_bound():
+def test_census_memo_keys_are_the_memoized_fields():
     # a rejected q never enters the memo; 7.0 and True would alias 7 and 1
     for q in (7.0, True, 6, 1, 0, -7, 64, 2 ** 61):
         with pytest.raises(ValueError):
             order_census(q)
     for q in PRIME_POWERS_32:
         order_census(q)
-    assert set(pslgroups._CENSUSES) == set(PRIME_POWERS_32)
-    for q in pslgroups._CENSUSES:
-        assert type(q) is int and q <= CENSUS_Q_LIMIT, q
-        assert prime_power(q) == brute_prime_power(q), q
+    assert sorted(field.q for field in pslgroups._CENSUSES) == list(PRIME_POWERS_32)
+    for field in pslgroups._CENSUSES:
+        assert pslgroups._FIELDS[field.p, field.n] is field, field.q
 
 
 def test_cycle_order_and_root_count_match_whole_permutation():
@@ -360,7 +384,7 @@ def test_trace_class_sizes_match_oracle():
 def test_census_checks_survive_optimize():
     # under python -O bare asserts vanish; the census checks must still exit 3
     code = ("import sys; from wptrans import pslgroups, cli; "
-            "pslgroups._census_counts = lambda p, n: {1: 1}; "
+            "pslgroups._census_counts = lambda field: {1: 1}; "
             "sys.exit(cli.main(['census', '--q', '7']))")
     src = os.path.dirname(os.path.dirname(wptrans.__file__))
     env = dict(os.environ, PYTHONPATH=src)
