@@ -19,7 +19,7 @@ larger q.
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .surfacecore import _is_int, _require_int, check
+from .surfacecore import InvariantError, _is_int, _require_int
 
 __all__ = [
     "cyclic_fixed_points",
@@ -134,12 +134,16 @@ def _divisor_sum(periods, d):
     return total
 
 
-def _as_integer(value, context):
+def _as_integer(value, context, *args):
+    """value as an int; context % args names the inputs, formatted only
+    for an error."""
     if value.denominator != 1:
         raise ValueError("non-integral fixed point count %s for %s; "
-                         "the inputs do not describe a realizable action" % (value, context))
+                         "the inputs do not describe a realizable action"
+                         % (value, context % args))
     n = value.numerator
-    check(n >= 0, "negative fixed point count %d for %s" % (n, context))
+    if n < 0:
+        raise InvariantError("negative fixed point count %d for %s" % (n, context % args))
     return n
 
 
@@ -150,7 +154,8 @@ def cyclic_fixed_points(n, periods, d):
     m_1, ..., m_r; t is any element of order d >= 2.  A cyclic quotient
     forces every period to divide n, which is checked (it also makes
     the sum automatically integral: each term contributes n/m_i).  A d
-    that divides no period gives 0.
+    that divides no period gives 0.  periods may be any iterable; it is
+    read once.
     """
     _require_int("group order", n)
     _require_int("element order", d)
@@ -158,6 +163,7 @@ def cyclic_fixed_points(n, periods, d):
         raise ValueError("group order must be positive")
     if d < 2:
         raise ValueError("element order must be >= 2")
+    periods = tuple(periods)
     for m in periods:
         _require_int("period", m)
         if m < 2 or n % m != 0:
@@ -165,7 +171,7 @@ def cyclic_fixed_points(n, periods, d):
                 "period %r does not divide the cyclic group order %d" % (m, n)
             )
     value = n * _divisor_sum(periods, d)
-    return _as_integer(value, "cyclic n=%d, periods=%s, d=%d" % (n, tuple(periods), d))
+    return _as_integer(value, "cyclic n=%d, periods=%s, d=%d", n, periods, d)
 
 
 def is_realizable_order(q, d):
@@ -174,15 +180,15 @@ def is_realizable_order(q, d):
     d is accepted when d divides (q-1)/gcd(2,q-1) or (q+1)/gcd(2,q-1)
     or d equals the characteristic p.  This is the purely arithmetic
     predicate; the element-order census gives the same answer for
-    every q it can reach.
+    every q it can reach.  q must be a prime power whatever d is.
     """
     _require_int("q", q)
     _require_int("element order", d)
+    p, _ = prime_power(q)
     if d < 1:
         return False
     if d == 1:
         return True
-    p, _ = prime_power(q)
     half = gcd(2, q - 1)
     return (q - 1) % (half * d) == 0 or (q + 1) % (half * d) == 0 or d == p
 
@@ -204,39 +210,39 @@ def psl2q_fixed_points(q, periods, d):
 
     The branches are mutually exclusive for d >= 2 (consecutive halves
     are coprime, and p divides neither q-1 nor q+1), so dispatch is by
-    explicit divisibility tests.  A d matching no branch is not an
-    element order of PSL(2,q) and is rejected.
+    explicit divisibility tests, all three made before any value: a d
+    matching no branch is not an element order of PSL(2,q) and is
+    rejected, two matches fail the overlap check, and only the one
+    branch that applies is evaluated.  periods may be any iterable; it
+    is read once.  The eager three-branch evaluation is the test oracle
+    tests/oracles.py:brute_psl2q_fixed_points.
     """
     p, n = prime_power(q)
     _require_int("element order", d)
     if d < 2:
         raise ValueError("element order must be >= 2")
+    periods = tuple(periods)
     for m in periods:
         _require_int("period", m)
         if m < 2:
             raise ValueError("every period must be >= 2, got %r" % (m,))
-    context = "PSL(2,%d), periods=%s, d=%d" % (q, tuple(periods), d)
 
-    if q % 2 == 1:
-        branches = [
-            ((q - 1) // 2 % d == 0, (q - 1) * _divisor_sum(periods, d)),
-            ((q + 1) // 2 % d == 0, (q + 1) * _divisor_sum(periods, d)),
-            (d == p,
-             Fraction(gcd(n, 2), 2) * p ** (n - 1) * (p - 1)
-             * sum(1 for m in periods if m == p)),
-        ]
-    else:
-        branches = [
-            ((q - 1) % d == 0, 2 * (q - 1) * _divisor_sum(periods, d)),
-            ((q + 1) % d == 0, 2 * (q + 1) * _divisor_sum(periods, d)),
-            (d == 2, Fraction(2 ** (n - 1) * sum(1 for m in periods if m == 2))),
-        ]
-
-    hits = [value for applies, value in branches if applies]
-    if not hits:
+    half = gcd(2, q - 1)  # the branches for q - 1 and q + 1 divide by it
+    minus = (q - 1) % (half * d) == 0
+    plus = (q + 1) % (half * d) == 0
+    matches = minus + plus + (d == p)
+    if matches == 0:
         raise ValueError("order %d is not realizable in PSL(2,%d)" % (d, q))
-    check(len(hits) == 1, "fixed point branches overlap for %s" % context)
-    return _as_integer(Fraction(hits[0]), context)
+    if matches > 1:
+        raise InvariantError("fixed point branches overlap for PSL(2,%d), periods=%s, d=%d"
+                             % (q, periods, d))
+    if minus or plus:
+        value = 2 // half * (q - 1 if minus else q + 1) * _divisor_sum(periods, d)
+    elif q % 2 == 1:  # p - 1 is even, so the value is an integer
+        value = gcd(n, 2) * p ** (n - 1) * (p - 1) // 2 * periods.count(p)
+    else:
+        value = 2 ** (n - 1) * periods.count(2)
+    return _as_integer(value, "PSL(2,%d), periods=%s, d=%d", q, periods, d)
 
 
 def schoeneberg_is_weierstrass(fixed_count):

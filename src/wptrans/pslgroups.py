@@ -39,6 +39,7 @@ maximality of the (2,3,7) triangle group are recorded, not re-derived.
 """
 
 from math import gcd
+from operator import itemgetter
 
 from .fixedpoints import is_prime, is_realizable_order, prime_power, psl2q_fixed_points
 from .orbitweights import (
@@ -99,7 +100,13 @@ def field_build(p, n):
     shifts c's digits up, folding the top one back through X^n = -m for
     the modulus X^n + m.  The modulus is the first m = 0, 1, ... whose
     table has no zero divisors (the first irreducible; X when n = 1).
-    The per-entry polynomial oracle is tests/oracles.py:brute_field_tables.
+    The mul rows of a candidate are filled in code order, and the
+    candidate is dropped at its first row with a second zero: a
+    reducible X^n + m = g * h with deg g <= n/2 shows it at row g, whose
+    code is below p^(n//2 + 1), so only the accepted modulus fills a
+    whole table.  add rows are compositions of the n rows that add
+    1 to one digit.  The per-entry polynomial oracle is
+    tests/oracles.py:brute_field_tables.
 
     Each field is built once per process and kept in _FIELDS, so every
     call after the first returns the same object; its tables are tuples
@@ -120,22 +127,50 @@ def field_build(p, n):
     return field
 
 
+def _digitwise(digit_map, q):
+    """The codes 0..q-1 with digit_map applied to each base-p digit, p =
+    len(digit_map): the row grows a digit at a time, each code c of the
+    row so far becoming the p codes digit_map[d] + p * c."""
+    row = digit_map
+    while len(row) < q:
+        row = [d + len(digit_map) * c for c in row for d in digit_map]
+    return row
+
+
 def _new_field(p, n, q):
-    """GF(p^n) with its tables filled by the digit recurrence; see field_build."""
-    add = [list(range(q))]
+    """GF(p^n) with its tables filled by the digit recurrence, trying
+    the moduli X^n + m in order and dropping each at its first zero
+    divisor; see field_build."""
+    # add[u] for u = p^j adds 1 to digit j; any other x is (x - u) + u for
+    # the largest such u <= x, so add[x] is add[x - u] after add[u], one
+    # composition of rows (itemgetter(*a)(b)[y] is b[a[y]])
+    codes = list(range(q))
+    add = [codes]
+    u = 1
     for x in range(1, q):
-        add.append([(x + y) % p + p * add[x // p][y // p] for y in range(q)])
-    scalar = [[0] * q]
-    for _ in range(1, p):
-        scalar.append([add[s][y] for y, s in enumerate(scalar[-1])])
+        if x == u * p:
+            u = x
+        if x == u:
+            add.append([y + u if y // u % p < p - 1 else y + u - p * u for y in codes])
+        else:
+            add.append(itemgetter(*add[u])(add[x - u]))
+    # scalar[k] multiplies every digit by k; k copies of the digits read at
+    # stride k are the digits times k mod p
+    digits = codes[:p]
+    scalar = [_digitwise((digits * k)[::k] if k else [0] * p, q) for k in digits]
     top = p ** (n - 1)
     for m in range(q):
         x_to_n = add[m].index(0)  # -m
         times_x = [add[c % top * p][scalar[c // top][x_to_n]] for c in range(q)]
-        mul = scalar[:]
+        mul = scalar[:]  # a nonzero scalar row has only its own 0 at y = 0
         for x in range(p, q):
-            mul.append([add[s][times_x[h]] for s, h in zip(mul[x % p], mul[x // p])])
-        if all(row.count(0) == 1 for row in mul[1:]):  # only mul[x][0] is 0
+            row = itemgetter(*mul[x // p])(times_x)  # y -> X * (x // p) * y
+            if x % p:
+                row = [add[s][h] for s, h in zip(mul[x % p], row)]
+            if row.count(0) > 1:  # x is a zero divisor
+                break
+            mul.append(row)
+        else:
             return FiniteField(p, n, tuple(m // p ** i % p for i in range(n)) + (1,),
                                tuple(map(tuple, add)), tuple(map(tuple, mul)))
     raise AssertionError("no irreducible polynomial of degree %d over GF(%d)" % (n, p))
@@ -151,6 +186,11 @@ def psl2_order(q):
     q >= 4 (PSL(2,2) and PSL(2,3) are S3 and A4).
     """
     prime_power(q)
+    return _group_order(q)
+
+
+def _group_order(q):
+    """psl2_order of a prime power q that the caller has decomposed."""
     return q * (q * q - 1) // gcd(2, q - 1)
 
 
@@ -266,8 +306,8 @@ def order_census(q):
     field = field_build(p, n)
     rows = _CENSUSES.get(field)
     if rows is not None:
-        return OrderCensus(q, psl2_order(q), dict(rows))
-    census = OrderCensus(q, psl2_order(q), _census_counts(field))
+        return OrderCensus(q, _group_order(q), dict(rows))
+    census = OrderCensus(q, _group_order(q), _census_counts(field))
     for d in census.orders():
         check(is_realizable_order(q, d),
               "census found order %d in PSL(2,%d) outside the arithmetic predicate" % (d, q))

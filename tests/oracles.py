@@ -205,6 +205,44 @@ def brute_cyclic_fixed_points(n, periods, d):
     return int(total)
 
 
+def brute_psl2q_fixed_points(q, periods, d):
+    """Macbeath's PSL(2,q) count with all three branches evaluated eagerly.
+
+    Each branch's divisibility test and value are computed whatever the
+    others say, in exact Fractions; exactly one test must hold.  Raises
+    the library's ValueError messages for an order below 2, for an
+    order that no branch admits and for a non-integral count.
+    """
+    p, n = brute_prime_power(q)
+    if d < 2:
+        raise ValueError("element order must be >= 2")
+    periods = tuple(periods)
+    context = "PSL(2,%d), periods=%s, d=%d" % (q, periods, d)
+    reciprocal_sum = sum((Fraction(1, m) for m in periods if m % d == 0), Fraction(0))
+    if q % 2 == 1:
+        branches = [
+            ((q - 1) // 2 % d == 0, (q - 1) * reciprocal_sum),
+            ((q + 1) // 2 % d == 0, (q + 1) * reciprocal_sum),
+            (d == p, Fraction(math.gcd(n, 2), 2) * p ** (n - 1) * (p - 1)
+             * sum(1 for m in periods if m == p)),
+        ]
+    else:
+        branches = [
+            ((q - 1) % d == 0, 2 * (q - 1) * reciprocal_sum),
+            ((q + 1) % d == 0, 2 * (q + 1) * reciprocal_sum),
+            (d == 2, Fraction(2 ** (n - 1) * sum(1 for m in periods if m == 2))),
+        ]
+    hits = [Fraction(value) for applies, value in branches if applies]
+    if not hits:
+        raise ValueError("order %d is not realizable in PSL(2,%d)" % (d, q))
+    assert len(hits) == 1, "fixed point branches overlap for %s" % context
+    if hits[0].denominator != 1:
+        raise ValueError("non-integral fixed point count %s for %s; "
+                         "the inputs do not describe a realizable action" % (hits[0], context))
+    assert hits[0] >= 0
+    return int(hits[0])
+
+
 def brute_order_census_tables(codes, add, mul, neg, one):
     """Order census of PSL(2, q) by raw matrix powering over code tables.
 

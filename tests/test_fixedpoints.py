@@ -12,7 +12,14 @@ from wptrans.fixedpoints import (
     schoeneberg_is_weierstrass,
 )
 
-from oracles import brute_cyclic_fixed_points
+from oracles import brute_cyclic_fixed_points, brute_prime_power, brute_psl2q_fixed_points
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
 
 
 def test_cyclic_examples():
@@ -95,6 +102,26 @@ def test_psl2q_rejects_bad_arguments():
         psl2q_fixed_points(12, (2, 3, 7), 2)  # 12 is not a prime power
 
 
+def test_psl2q_matches_eager_oracle():
+    # same integer or same ValueError message for every prime power q <= 128
+    # and every d up to q + 2, on periods that hit each branch
+    for q in range(2, 129):
+        try:
+            brute_prime_power(q)
+        except ValueError:
+            continue
+        for periods in ((2, 3, 7), (2, 3, q), (2, 2, 3), (3, 7, 9), (2, 3, 8)):
+            for d in range(1, q + 3):
+                assert (_outcome(psl2q_fixed_points, q, periods, d)
+                        == _outcome(brute_psl2q_fixed_points, q, periods, d)), (q, periods, d)
+
+
+def test_periods_may_be_a_one_shot_iterable():
+    assert psl2q_fixed_points(13, iter((2, 3, 7)), 2) == 6
+    assert psl2q_fixed_points(13, (m for m in (2, 3, 13)), 13) == 6
+    assert cyclic_fixed_points(6, iter((2, 3, 6)), 2) == 4
+
+
 def test_is_realizable_order():
     assert is_realizable_order(13, 1)
     assert is_realizable_order(13, 2)
@@ -106,6 +133,18 @@ def test_is_realizable_order():
     assert is_realizable_order(8, 2)
     assert is_realizable_order(8, 9)
     assert not is_realizable_order(8, 4)
+    assert is_realizable_order(2, 1)
+    assert is_realizable_order(2, 2)
+    assert is_realizable_order(2, 3)
+    assert not is_realizable_order(2, 0)
+
+
+def test_is_realizable_order_rejects_bad_q_for_every_d():
+    # q is checked before the d < 1 and d == 1 shortcuts
+    for q in (12, 1):
+        for d in (-3, 0, 1, 2, 7):
+            with pytest.raises(ValueError):
+                is_realizable_order(q, d)
 
 
 def test_schoeneberg_threshold_is_strict():
