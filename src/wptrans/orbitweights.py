@@ -20,7 +20,7 @@ tuple reduced by its gcd; for a triangle action that tuple depends only
 on the periods, so every genus of a signature shares them.  Below the
 quasi-polynomial's range the count walks the prefixes a layer at a time
 with equal remainders merged, at a cost polynomial in the equation's
-width; see _layers, _count and _walk_count.  A support is decided by a
+width; see _layers, _count and _walk_counts.  A support is decided by a
 certificate, Brauer's bound on the Frobenius number, and counted only
 where the bound cannot decide it; see _brauer_bound and
 WeightEquationSolutionSet.supports.  Each support's sum, gcd and bound
@@ -64,6 +64,7 @@ __all__ = [
     "SimplePointOutcome",
     "DEFAULT_MAX_GROUP_ORDER",
     "LISTING_REMAINDER_CAP",
+    "LISTING_SOLUTION_CAP",
 ]
 
 
@@ -150,7 +151,7 @@ class WeightEquationSolutionSet:
     solutions is listed, lex sorted, the first time it is read, and
     checked then: every solution against the equation, the order, and
     the length against count.  Reading it raises ValueError where the
-    listing would pass LISTING_REMAINDER_CAP.
+    listing would pass LISTING_REMAINDER_CAP or LISTING_SOLUTION_CAP.
     """
 
     coefficients: tuple
@@ -204,7 +205,10 @@ class WeightEquationSolutionSet:
 
     @functools.cached_property
     def solutions(self):
-        solutions = tuple(_solutions(self.coefficients, self.target))
+        cap = LISTING_SOLUTION_CAP
+        solutions = tuple(itertools.islice(_solutions(self.coefficients, self.target), cap + 1))
+        if len(solutions) > cap:
+            raise ValueError("there are more than %d solutions to list" % cap)
         # once per solution: the message is formatted only on failure
         coeffs, target, mul = self.coefficients, self.target, operator.mul
         for v in solutions:
@@ -221,6 +225,14 @@ LISTING_REMAINDER_CAP = 500_000
 
 A listing past it raises ValueError; its count and verdict are still
 computed without listing.
+"""
+
+LISTING_SOLUTION_CAP = 100_000
+"""The most solutions a listing may hold, at any width.
+
+A listing raises ValueError as soon as it draws one more, before any
+count.  An equation of width <= 3 holds no remainder layer (see
+_solutions), so this is its only bound.
 """
 
 
@@ -337,23 +349,25 @@ def _solutions(coeffs, target):
     yield from walk(0, (), target)
 
 
-def _walk_count(coeffs, target):
-    """Number of nonnegative solutions, from the last layer of the prefix
-    walk.
+def _walk_counts(coeffs, target, shifts):
+    """Numbers of nonnegative solutions at target - s for each s in shifts,
+    read from the last layer of one prefix walk at target.
 
     coeffs is a descending tuple of width >= 2, as _count and
     _differences pass it: the largest coefficients go outermost, where
-    they have the fewest steps.  The layer left before the last pair
-    (see _layers) maps each remainder to its number of prefixes, and each
-    adds that number times the length of the last pair's range.  The
-    walk's length grows with the target; _count calls it only below a
+    they have the fewest steps.  The layer m left before the last pair
+    (see _layers) maps each remainder r to its number of prefixes.  The
+    prefixes from target - s are those that leave some r >= s from
+    target, and they leave r - s, so
+    count(target - s) = sum over r >= s of m[r] * len(last_pair(r - s)).
+    The walk's length grows with the target; _count calls it only below a
     bound set by the coefficients.
     """
     layer = {target: 1}
     for layer in _layers(coeffs[:-2], target):
         pass
     weights = _last_pair(*coeffs[-2:])
-    return sum(m * len(weights(r)) for r, m in layer.items())
+    return [sum(m * len(weights(r - s)) for r, m in layer.items() if r >= s) for s in shifts]
 
 
 def _count(coeffs, target):
@@ -366,10 +380,10 @@ def _count(coeffs, target):
     Computing the Continuous Discretely, ch. 1): on each class
     t = rho + qL it is a polynomial in q.  Below t = kL the prefix walk
     counts directly, at a cost set by c alone and polynomial in k (see
-    _walk_count).  From there on the count is
+    _walk_counts).  From there on the count is
     Newton's forward-difference series sum_j D^j comb(q, j) through the
-    walked counts at q = 0 .. k-1 of the same class (see _differences),
-    in integers only.
+    counts at q = 0 .. k-1 of the same class, all read from one walk
+    (see _differences), in integers only.
     """
     if len(coeffs) < 2:
         return len(_short(coeffs, target))
@@ -380,7 +394,7 @@ def _count(coeffs, target):
     t = target // d
     period = math.lcm(*reduced)
     if t < len(reduced) * period:
-        return _walk_count(reduced, t)
+        return _walk_counts(reduced, t, (0,))[0]
     q, rho = divmod(t, period)
     return sum(delta * math.comb(q, j) for j, delta in enumerate(_differences(reduced, rho)))
 
@@ -390,10 +404,12 @@ def _differences(reduced, rho):
     """Forward differences D^0 .. D^(k-1) at q = 0 of the counts at rho + qL.
 
     reduced is a descending coefficient tuple with gcd 1, L its lcm and
-    k its length; the k counts at q < k are walked.
+    k its length.  The k counts at q < k are read from one walk at
+    rho + (k-1)L, at the shifts (k-1-q)L (see _walk_counts).
     """
     period = math.lcm(*reduced)
-    values = [_walk_count(reduced, rho + q * period) for q in range(len(reduced))]
+    top = (len(reduced) - 1) * period
+    values = _walk_counts(reduced, rho + top, range(top, -1, -period))
     deltas = []
     while values:
         deltas.append(values[0])
@@ -462,7 +478,8 @@ def solve_weight_equation(coefficients, target):
     The listing walks only prefixes that some solution completes, and
     solves the last pair instead of searching it (see _solutions); it
     raises ValueError where its remainder layers would pass
-    LISTING_REMAINDER_CAP.  An empty set is a valid answer.
+    LISTING_REMAINDER_CAP or its solutions LISTING_SOLUTION_CAP.  An
+    empty set is a valid answer.
     """
     return WeightEquationSolutionSet(tuple(coefficients), target)
 

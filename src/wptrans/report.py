@@ -284,8 +284,9 @@ HYPERELLIPTIC_MAX_GENUS = 10_000
 # a mask adds two counts, the set's and the masked one.  Measured in process
 # on a shared 2-core VM: twelve periods of 2 at order 2 and target 10^6 take
 # ~36 ms plain and ~39 ms with eleven coordinates masked; the periods 2..13
-# at order 360360 and target 10^12 take ~15 ms plain but ~6 s masked, where
-# the counts walk up to k * lcm (see orbitweights._count)
+# at order 360360 and target 10^12 take ~15 ms plain but ~1.7-2.5 s masked,
+# where each of the two counts walks once, up to k * lcm (see
+# orbitweights._differences)
 ORBIT_WEIGHTS_MAX_PERIODS = 12
 
 

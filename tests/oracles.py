@@ -882,6 +882,30 @@ def brute_numerator_count(coefficients, target):
                for e in range(t % period, min(t, len(poly) - 1) + 1, period))
 
 
+def brute_differences(reduced, rho):
+    """Forward differences D^0 .. D^(k-1) at q = 0 of the counts at
+    rho + qL, L = lcm(reduced), k = len(reduced): k separate counts, one
+    per target, then the difference table.
+
+    Each count fills the coin-change table ways[0..t] one coefficient at
+    a time, so its cost is k * t; keep k * L to a few thousand.
+    """
+    period = math.lcm(*reduced)
+    values = []
+    for q in range(len(reduced)):
+        t = rho + q * period
+        ways = [1] + [0] * t
+        for c in reduced:
+            for e in range(c, t + 1):
+                ways[e] += ways[e - c]
+        values.append(ways[t])
+    deltas = []
+    while values:
+        deltas.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return tuple(deltas)
+
+
 _JSON_INT_LIMIT = 2 ** 53
 
 

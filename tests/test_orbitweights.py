@@ -28,6 +28,7 @@ from wptrans.surfacecore import InvariantError
 
 from oracles import (
     brute_classify,
+    brute_differences,
     brute_frobenius,
     brute_numerator_count,
     brute_supports,
@@ -198,6 +199,25 @@ def test_listing_refuses_past_the_remainder_cap(monkeypatch):
     # the count and the verdict list nothing, so the cap does not reach them
     assert sol.count == len(expected)
     assert classify(sol).status is TransitivityStatus.UNDECIDED
+
+
+@pytest.mark.parametrize("coefficients, target", [
+    ((3,), 9), ((1, 2), 40), ((2, 3, 6), 40), ((1, 2, 3, 4, 5), 12),
+], ids=["width-1", "width-2", "width-3", "width-5"])
+def test_listing_refuses_past_the_solution_cap(monkeypatch, coefficients, target):
+    # a width <= 3 listing holds no remainder layer, so only the solution
+    # cap bounds it; it refuses at the first vector past the cap, before
+    # any count
+    expected = brute_weight_solutions(coefficients, target)
+    monkeypatch.setattr(orbitweights, "LISTING_SOLUTION_CAP", len(expected))
+    assert list(solve_weight_equation(coefficients, target).solutions) == expected
+    monkeypatch.setattr(orbitweights, "LISTING_SOLUTION_CAP", len(expected) - 1)
+    sol = solve_weight_equation(coefficients, target)
+    with pytest.raises(ValueError) as caught:
+        sol.solutions
+    assert str(caught.value) == "there are more than %d solutions to list" % (len(expected) - 1)
+    assert "count" not in vars(sol)
+    assert sol.count == len(expected)
 
 
 def test_listing_cap_is_exact_while_a_layer_grows(monkeypatch):
@@ -540,8 +560,9 @@ def test_classify_hurwitz_genera_past_any_walk(genus, count, masked_count):
 )
 def test_count_matches_numerator_oracle(coefficients, data):
     # the walk and the difference series against a generating function.
-    # Near 10^30 _count walks k counts up to k * lcm(c) each, which takes
-    # seconds past k * lcm(c) = 3000, so larger lcms are drawn below 200 only
+    # Near 10^30 _count reads k counts from one walk up to k * lcm(c), which
+    # takes seconds past k * lcm(c) = 3000, so larger lcms are drawn below
+    # 200 only
     targets = st.integers(0, 200)
     if len(coefficients) * math.lcm(*coefficients) <= 3000:
         targets = st.one_of(targets, st.integers(10 ** 30, 10 ** 30 + 100))
@@ -550,30 +571,71 @@ def test_count_matches_numerator_oracle(coefficients, data):
         coefficients, target)
 
 
-def _prefix_walks(monkeypatch, genus):
-    """_walk_count calls made by classify, plain and under every mask, from
-    an empty cache, for the (2,3,7) action of that genus."""
-    orbitweights._differences.cache_clear()
+def _counted_walks(monkeypatch):
+    """The argument tuples of every _walk_counts call from here on."""
     calls = []
-    walk = orbitweights._walk_count
+    walk = orbitweights._walk_counts
 
-    def counted(*args):
-        calls.append(args)
-        return walk(*args)
+    def counted(coeffs, target, shifts):
+        calls.append((coeffs, target, tuple(shifts)))
+        return walk(coeffs, target, shifts)
 
-    monkeypatch.setattr(orbitweights, "_walk_count", counted)
-    profile = orbit_profile(84 * (genus - 1), (2, 3, 7))
-    sol = solve_weight_equation(profile.orbit_sizes, genus ** 3 - genus)
-    for mask in _supports(3):
-        _outcome(classify, sol, mask, profile)
-    monkeypatch.setattr(orbitweights, "_walk_count", walk)
+    monkeypatch.setattr(orbitweights, "_walk_counts", counted)
+    return calls
+
+
+def _prefix_walks(monkeypatch, genus):
+    """_walk_counts calls made by classify, plain and under every mask,
+    from an empty cache, for the (2,3,7) action of that genus."""
+    orbitweights._differences.cache_clear()
+    with monkeypatch.context() as patch:
+        calls = _counted_walks(patch)
+        profile = orbit_profile(84 * (genus - 1), (2, 3, 7))
+        sol = solve_weight_equation(profile.orbit_sizes, genus ** 3 - genus)
+        for mask in _supports(3):
+            _outcome(classify, sol, mask, profile)
     return len(calls)
 
 
 def test_classify_work_does_not_grow_with_the_genus(monkeypatch):
-    walks = _prefix_walks(monkeypatch, 10 ** 4)
-    assert walks == _prefix_walks(monkeypatch, 10 ** 6)
-    assert 0 < walks < 100
+    # only the mask w3 = 0 leaves solutions; its two counts, the full one
+    # (reduced (42, 21, 14, 6)) and the masked one (reduced (21, 7, 3)),
+    # miss _differences once each and walk once each
+    assert _prefix_walks(monkeypatch, 10 ** 4) == 2
+    assert _prefix_walks(monkeypatch, 10 ** 6) == 2
+
+
+def test_each_differences_miss_walks_once(monkeypatch):
+    orbitweights._differences.cache_clear()
+    calls = _counted_walks(monkeypatch)
+    keys = [((7, 3, 2), 5), ((12, 8, 6, 3, 1), 0), ((7, 3, 2), 5), ((2, 1), 1),
+            ((12, 8, 6, 3, 1), 0)]
+    for reduced, rho in keys:
+        assert orbitweights._differences(reduced, rho) == brute_differences(reduced, rho)
+    # one walk at rho + (k-1)L per distinct key, read at the shifts (k-1-q)L
+    assert calls == [((7, 3, 2), 89, (84, 42, 0)),
+                     ((12, 8, 6, 3, 1), 96, (96, 72, 48, 24, 0)),
+                     ((2, 1), 3, (2, 0))]
+    assert orbitweights._differences.cache_info().misses == 3
+
+
+# divisors of 360: lcm <= 360, so k * lcm <= 2,160 at width 6
+DIVISORS_360 = tuple(d for d in range(1, 361) if 360 % d == 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(min_value=1, max_value=40), min_size=2, max_size=3),
+        st.lists(st.sampled_from(DIVISORS_360), min_size=2, max_size=6),
+    ).map(lambda c: tuple(sorted((x // math.gcd(*c) for x in c), reverse=True)))
+    .filter(lambda c: len(c) * math.lcm(*c) <= 3000),
+    st.data(),
+)
+def test_differences_match_k_walk_oracle(reduced, data):
+    # the one walk read at k shifts against k separate counts
+    rho = data.draw(st.integers(0, math.lcm(*reduced) - 1))
+    assert orbitweights._differences(reduced, rho) == brute_differences(reduced, rho)
 
 
 def test_large_coprime_periods_keep_the_walk():

@@ -462,6 +462,13 @@ def test_listing_memory_is_bounded():
 BIG_PRIME = 10 ** 18 + 3
 
 
+def _limit_address_space():
+    """Run in a child before exec: at most 1 GiB of address space on Linux."""
+    if sys.platform.startswith("linux"):
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
 @pytest.mark.parametrize("argv, code, max_bytes", [
     (["hurwitz", "--q", str(BIG_PRIME)], 0, 4096),
     (["psl-verdict", "--q", str(BIG_PRIME), "--t", "7"], 0, 4096),
@@ -474,17 +481,26 @@ BIG_PRIME = 10 ** 18 + 3
       "--target", "3"], 0, 2 ** 20),
     (["orbit-weights", "--order", "2",
       "--periods", ",".join(["2"] * (ORBIT_WEIGHTS_MAX_PERIODS + 1)), "--target", "3"], 2, 0),
+    # 5 * 10^7 and ~1.4 * 10^10 solutions, held by no remainder layer
+    *((["orbit-weights", "--order", order, "--periods", periods, "--target", target,
+        "--format", fmt], 2, 0)
+      for order, periods, target in (("2", "2", "100000000"), ("6", "2,3", "1000000"))
+      for fmt in ("text", "json")),
 ], ids=["hurwitz", "psl-verdict", "modular", "fermat", "hyperelliptic",
         "hyperelliptic-past-bound", "hurwitz-past-bound", "orbit-weights",
-        "orbit-weights-past-bound"])
+        "orbit-weights-past-bound", "width-2-listing-text", "width-2-listing-json",
+        "width-3-listing-text", "width-3-listing-json"])
 def test_cli_work_is_bounded_at_the_largest_inputs(argv, code, max_bytes):
     # each subcommand at its largest accepted input, or one past it: a few
-    # seconds and a bounded output, never minutes (orbit-weights listings
-    # are still unbounded)
+    # seconds and a bounded output, never minutes, and on Linux within
+    # 1 GiB of address space, which the child is given as its limit
     src = os.path.dirname(os.path.dirname(wptrans.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-m", "wptrans.cli"] + argv + ["--format", "json"],
-                          env=env, capture_output=True, timeout=20)
+    if "--format" not in argv:
+        argv = argv + ["--format", "json"]
+    done = subprocess.run([sys.executable, "-m", "wptrans.cli"] + argv,
+                          env=env, capture_output=True, timeout=20,
+                          preexec_fn=_limit_address_space)
     assert done.returncode == code, done.stderr
     assert len(done.stdout) <= max_bytes
     if code == 2:
