@@ -28,7 +28,8 @@ depend only on the gcd-reduced coefficients, so they are tabled once per
 reduced tuple, like the count's differences, and the genera of a
 triangle signature share one table; see _certificates.  A listing reads
 the same layers, keeps the remainders that complete, and walks only the
-prefixes through them; see _solutions.
+prefixes through them, within a budget of remainder steps charged per
+layer it scans; see _solutions.
 
 This module also carries the necessary-condition arithmetic
 w = |G_p| (g^3 - g) / |G| and the simple-point elimination chain.
@@ -63,7 +64,7 @@ __all__ = [
     "simple_point_analysis",
     "SimplePointOutcome",
     "DEFAULT_MAX_GROUP_ORDER",
-    "LISTING_REMAINDER_CAP",
+    "LISTING_STEP_CAP",
     "LISTING_SOLUTION_CAP",
 ]
 
@@ -151,7 +152,7 @@ class WeightEquationSolutionSet:
     solutions is listed, lex sorted, the first time it is read, and
     checked then: every solution against the equation, the order, and
     the length against count.  Reading it raises ValueError where the
-    listing would pass LISTING_REMAINDER_CAP or LISTING_SOLUTION_CAP.
+    listing would pass LISTING_STEP_CAP or LISTING_SOLUTION_CAP.
     """
 
     coefficients: tuple
@@ -220,11 +221,11 @@ class WeightEquationSolutionSet:
         return solutions
 
 
-LISTING_REMAINDER_CAP = 500_000
-"""The most remainders a listing's layers may hold (see _solutions).
+LISTING_STEP_CAP = 500_000
+"""The most remainder steps a listing may take in all (see _solutions).
 
-A listing past it raises ValueError; its count and verdict are still
-computed without listing.
+A listing raises ValueError before the layer scan that would pass it;
+counts and verdicts charge nothing, and list nothing.
 """
 
 LISTING_SOLUTION_CAP = 100_000
@@ -264,35 +265,24 @@ def _short(coeffs, target):
     return [] if r else [(w,)]
 
 
-def _layers(coeffs, target, cap=None):
+def _layers(coeffs, target, charge=None):
     """The remainders left after each coordinate, with equal ones merged.
 
     For each coordinate c of coeffs in turn, yields the layer that takes
     every remainder r of the one before (at first, the target alone) to
     r, r - c, r - 2c, ..., down to 0.  Each entry maps a remainder to the
     number of prefixes that leave it, so a layer holds at most target + 1
-    entries whatever the width.
-
-    With a cap, the layers yielded and the one being built may hold at
-    most cap remainders in all, and ValueError is raised at the first
-    remainder past it, before the layer is finished.  r gives r // c + 1
-    steps, each adding at most one remainder, so only an r whose steps
-    could pass the cap has its growth checked step by step.
+    entries whatever the width.  With a charge, charge(layer, c) is called
+    before each layer is scanned, and may raise to stop the walk there.
     """
-    layer, held = {target: 1}, 0
+    layer = {target: 1}
     for c in coeffs:
+        if charge is not None:
+            charge(layer, c)
         below = {}
         for r, m in layer.items():
-            if cap is None or held + len(below) + r // c < cap:
-                for rest in range(r, -1, -c):
-                    below[rest] = below.get(rest, 0) + m
-                continue
             for rest in range(r, -1, -c):
                 below[rest] = below.get(rest, 0) + m
-                if held + len(below) > cap:
-                    raise ValueError("listing the solutions would hold more than %d "
-                                     "remainders" % cap)
-        held += len(below)
         layer = below
         yield layer
 
@@ -305,12 +295,14 @@ def _solutions(coeffs, target):
     built in the given order (see _layers), except the last outer one's:
     whether a remainder completes from there is the last pair's closed
     form (see _last_pair), so an equation of width <= 3 holds no layer.
-    The layers held may not pass LISTING_REMAINDER_CAP remainders in all,
-    counted while each layer grows.
     A backward pass keeps, in each layer, only the remainders that the
     later coordinates complete.  The forward walk then steps from kept
     remainder to kept remainder, each weight increasing, so the
-    solutions come out lex sorted with no sort.
+    solutions come out lex sorted with no sort.  Each scan of a layer with
+    the next coordinate c, to build a layer or to keep from one, is
+    charged r // c + 1 steps per remainder r before it starts, and raises
+    ValueError if the total would pass LISTING_STEP_CAP.  A step adds at
+    most one remainder, so no more remainders than that are held.
     """
     if len(coeffs) < 2:
         yield from _short(coeffs, target)
@@ -321,15 +313,22 @@ def _solutions(coeffs, target):
         for v in weights(target):
             yield (v, (target - a * v) // b)
         return
-    layers = list(_layers(outer[:-1], target, LISTING_REMAINDER_CAP))
+    spent = 0
+
+    def charge(layer, c):
+        nonlocal spent
+        spent += sum(r // c for r in layer) + len(layer)
+        if spent > LISTING_STEP_CAP:
+            raise ValueError("listing the solutions would take more than %d remainder steps"
+                             % LISTING_STEP_CAP)
+
+    layers = list(_layers(outer[:-1], target, charge))
     # kept[i]: the remainders left after outer coordinate i that complete
-    kept = []
-    if layers:
-        c = outer[-1]
-        kept.append({r for r in layers.pop() if any(map(weights, range(r, -1, -c)))})
-    for c, layer in zip(reversed(outer[1:-1]), reversed(layers)):
-        live = kept[-1]
-        kept.append({r for r in layer if not live.isdisjoint(range(r, -1, -c))})
+    kept, completes = [], weights
+    for c, layer in zip(reversed(outer[1:]), reversed(layers)):
+        charge(layer, c)
+        kept.append({r for r in layer if any(map(completes, range(r, -1, -c)))})
+        completes = kept[-1].__contains__
     del layers  # the walk reads only the kept remainders
     kept.reverse()
     last = len(outer) - 1
@@ -477,9 +476,9 @@ def solve_weight_equation(coefficients, target):
     are listed on first read, lex sorted, and re-verified exactly then.
     The listing walks only prefixes that some solution completes, and
     solves the last pair instead of searching it (see _solutions); it
-    raises ValueError where its remainder layers would pass
-    LISTING_REMAINDER_CAP or its solutions LISTING_SOLUTION_CAP.  An
-    empty set is a valid answer.
+    raises ValueError where its layer scans would pass LISTING_STEP_CAP
+    remainder steps or its solutions LISTING_SOLUTION_CAP.  An empty set
+    is a valid answer.
     """
     return WeightEquationSolutionSet(tuple(coefficients), target)
 
@@ -502,10 +501,11 @@ def classify(sol_set, zero_indices=(), profile=None):
     size, so the first and last of those give the fewest and most
     orbits, and the coordinates common to all surviving solutions are
     the intersection of those supports.  A singleton support {j} carries
-    the single weight target / c_j.  Without a mask nothing is counted.
-    The mask reason's "%d of %d" are the count of the equation with the
-    masked coordinates removed, which must lie between 1 and the full
-    count (checked), and the full count.
+    the single weight target / c_j.  Only the supports that Brauer's
+    bound cannot decide are counted; a mask adds the masked and full
+    counts.  The mask reason's "%d of %d" are the count of the equation
+    with the masked coordinates removed, which must lie between 1 and the
+    full count (checked), and the full count.
 
     Verdicts:
       - every surviving solution concentrated on one and the same

@@ -182,25 +182,6 @@ def _python(code, *options, timeout=None):
     return done.stdout
 
 
-def test_listing_refuses_past_the_remainder_cap(monkeypatch):
-    # of the outer coordinates 1, 2, 3 the layers after 1 and 2 are held,
-    # each with every remainder 0..40; the last one's is never built
-    coefficients, target = (1, 2, 3, 4, 5), 40
-    held = 41 + 41
-    expected = brute_weight_solutions(coefficients, target)
-    monkeypatch.setattr(orbitweights, "LISTING_REMAINDER_CAP", held)
-    assert list(solve_weight_equation(coefficients, target).solutions) == expected
-    monkeypatch.setattr(orbitweights, "LISTING_REMAINDER_CAP", held - 1)
-    sol = solve_weight_equation(coefficients, target)
-    with pytest.raises(ValueError) as caught:
-        sol.solutions
-    assert str(caught.value) == (
-        "listing the solutions would hold more than %d remainders" % (held - 1))
-    # the count and the verdict list nothing, so the cap does not reach them
-    assert sol.count == len(expected)
-    assert classify(sol).status is TransitivityStatus.UNDECIDED
-
-
 @pytest.mark.parametrize("coefficients, target", [
     ((3,), 9), ((1, 2), 40), ((2, 3, 6), 40), ((1, 2, 3, 4, 5), 12),
 ], ids=["width-1", "width-2", "width-3", "width-5"])
@@ -220,17 +201,50 @@ def test_listing_refuses_past_the_solution_cap(monkeypatch, coefficients, target
     assert sol.count == len(expected)
 
 
-def test_listing_cap_is_exact_while_a_layer_grows(monkeypatch):
-    # of the outer coordinates 1, 3 only the layer after 1 is held: the 41
-    # remainders 40..0, all from the target in one run of steps, so the
-    # cap is met or passed by the last step of the only layer
-    coefficients, target = (1, 3, 4, 5), 40
-    expected = brute_weight_solutions(coefficients, target)
-    monkeypatch.setattr(orbitweights, "LISTING_REMAINDER_CAP", 41)
+# Each scan of a layer with the next outer coordinate c costs r // c + 1
+# steps per remainder r it holds.  The backward pass scans the layers
+# after outer coordinates 1 .. n-2 with the coordinate that built the next
+# one, so a listing is charged: building every layer, plus building all
+# but the first again, plus keeping the last layer with the last outer
+# coordinate.  The layers of the first two equations each hold 0..40.
+STEP_BUDGETS = [
+    # outer 1, 3: the target steps by 1 (41); keeping 0..40 with 3 takes
+    # sum_{r<=40} (r // 3 + 1) = 260 + 41
+    ((1, 3, 4, 5), 40, 41 + (260 + 41), None, TransitivityStatus.UNDECIDED),
+    # outer 1, 2, 3: as above, with 0..40 built and then kept with 2 at
+    # sum_{r<=40} (r // 2 + 1) = 400 + 41 each time
+    ((1, 2, 3, 4, 5), 40, 41 + 2 * (400 + 41) + (260 + 41), None,
+     TransitivityStatus.UNDECIDED),
+    # every remainder is 6 mod 10 and at most 2726.  The target steps by 20
+    # (137); the layers after 20, 20, 20 hold the 137 remainders 6 + 20i,
+    # each charged i + 1 by 20 (137 * 138 / 2 = 9453 in all) and
+    # (6 + 20i) // 30 + 1 by 30 (6302); the layer after 30 holds the 272
+    # of 6, 16, ..., 2726 but 2716, charged 273 * 274 / 2 - 272 = 37129 by
+    # 10, and those after 10 all 273, charged 37401 by 10 and
+    # sum_{i<273} (i // 3 + 1) = 12558 by 30
+    ((20, 20, 20, 30, 10, 10, 30, 961, 1363), 2726,
+     137 + 2 * (9453 + 9453 + 6302 + 37129 + 37401) + 12558,
+     [(0, 0, 0, 0, 0, 0, 0, 0, 2)], TransitivityStatus.TRANSITIVE),
+]
+
+
+@pytest.mark.parametrize("coefficients, target, steps, expected, status", STEP_BUDGETS,
+                         ids=["width-4", "width-5", "sparse-width-9"])
+def test_listing_step_budget_is_exact(monkeypatch, coefficients, target, steps, expected,
+                                      status):
+    if expected is None:
+        expected = brute_weight_solutions(coefficients, target)
+    monkeypatch.setattr(orbitweights, "LISTING_STEP_CAP", steps)
     assert list(solve_weight_equation(coefficients, target).solutions) == expected
-    monkeypatch.setattr(orbitweights, "LISTING_REMAINDER_CAP", 40)
-    with pytest.raises(ValueError, match="more than 40 remainders"):
-        solve_weight_equation(coefficients, target).solutions
+    monkeypatch.setattr(orbitweights, "LISTING_STEP_CAP", steps - 1)
+    sol = solve_weight_equation(coefficients, target)
+    with pytest.raises(ValueError) as caught:
+        sol.solutions
+    assert str(caught.value) == (
+        "listing the solutions would take more than %d remainder steps" % (steps - 1))
+    # the count and the verdict list nothing, so the cap does not reach them
+    assert sol.count == len(expected)
+    assert classify(sol).status is status
 
 
 SPARSE = '''
@@ -254,7 +268,7 @@ PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 def test_ascending_primorial_listing_is_refused_quickly():
     # in the given, ascending order the layers reach millions of
-    # remainders; the listing stops at the cap instead of filling memory
+    # remainders; the listing stops at the step cap instead of filling memory
     src = os.path.dirname(os.path.dirname(wptrans.__file__))
     argv = ["orbit-weights", "--order", str(PRIMORIAL),
             "--periods", ",".join(map(str, PRIMES)), "--target", str(PRIMORIAL)]
@@ -264,8 +278,8 @@ def test_ascending_primorial_listing_is_refused_quickly():
                           capture_output=True, text=True, timeout=30)
     assert time.perf_counter() - start < 5
     assert (done.returncode, done.stdout, done.stderr) == (
-        2, "", "error: listing the solutions would hold more than %d remainders\n"
-        % orbitweights.LISTING_REMAINDER_CAP)
+        2, "", "error: listing the solutions would take more than %d remainder steps\n"
+        % orbitweights.LISTING_STEP_CAP)
 
 
 LARGE_LCM_ARGV = ["orbit-weights", "--order", "360360", "--periods",
@@ -277,10 +291,10 @@ PEAK_KB = ("import json, resource, subprocess, sys; "
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KB is Linux's")
-def test_listing_refuses_while_its_first_layer_grows():
-    # the first layer of this listing would hold ~3.6 * 10^7 remainders,
-    # 10^12 / 27720 steps from the target alone; the cap is checked as the
-    # layer grows, so the process stops soon after 500,000.  Each run is
+def test_listing_refuses_before_its_first_layer_is_built():
+    # the first layer of this listing would take ~3.6 * 10^7 steps,
+    # 10^12 / 27720 from the target alone; the scan is charged before it
+    # starts, so the process stops before building any layer.  Each run is
     # timed and measured under its own parent, as in test_report's
     # test_listing_memory_is_bounded
     src = os.path.dirname(os.path.dirname(wptrans.__file__))
@@ -295,9 +309,9 @@ def test_listing_refuses_while_its_first_layer_grows():
 
     seconds, code, err, refused = run("-m", "wptrans.cli", *LARGE_LCM_ARGV)
     assert seconds < 5
-    assert (code, err) == (2, "error: listing the solutions would hold more than %d "
-                              "remainders\n" % orbitweights.LISTING_REMAINDER_CAP)
-    # ~42 MB over a bare import at the cap; a whole first layer is gigabytes
+    assert (code, err) == (2, "error: listing the solutions would take more than %d "
+                              "remainder steps\n" % orbitweights.LISTING_STEP_CAP)
+    # ~2 MB over a bare import; a whole first layer is gigabytes
     assert refused - run("-c", "import wptrans.cli")[3] < 56 * 1024
 
 

@@ -486,10 +486,19 @@ def _limit_address_space():
         "--format", fmt], 2, 0)
       for order, periods, target in (("2", "2", "100000000"), ("6", "2,3", "1000000"))
       for fmt in ("text", "json")),
+    # more than 100,000 solutions each, but refused at the step cap: the
+    # first takes (T + 1)(T + 2) / 2 steps to build its second layer, the
+    # second ~T^2 / 4 to keep from its first
+    *((["orbit-weights", "--order", order, "--periods", periods, "--target", target,
+        "--format", fmt], 2, 0)
+      for order, periods, target in (("2", ",".join(["2"] * 12), "49999"),
+                                     ("12", "12,6,3", "499999"))
+      for fmt in ("text", "json")),
 ], ids=["hurwitz", "psl-verdict", "modular", "fermat", "hyperelliptic",
         "hyperelliptic-past-bound", "hurwitz-past-bound", "orbit-weights",
         "orbit-weights-past-bound", "width-2-listing-text", "width-2-listing-json",
-        "width-3-listing-text", "width-3-listing-json"])
+        "width-3-listing-text", "width-3-listing-json", "width-13-listing-text",
+        "width-13-listing-json", "width-4-listing-text", "width-4-listing-json"])
 def test_cli_work_is_bounded_at_the_largest_inputs(argv, code, max_bytes):
     # each subcommand at its largest accepted input, or one past it: a few
     # seconds and a bounded output, never minutes, and on Linux within
