@@ -179,8 +179,11 @@ def is_realizable_order(q, d):
 
     d is accepted when d divides (q-1)/gcd(2,q-1) or (q+1)/gcd(2,q-1)
     or d equals the characteristic p.  This is the purely arithmetic
-    predicate; the element-order census gives the same answer for
-    every q it can reach.  q must be a prime power whatever d is.
+    predicate.  The element-order census checks its orders against it
+    at run time, but both encode Dickson's theorem, so that check only
+    compares two encodings; the independent check is the brute-force
+    enumeration of PSL(2,q) in tests/oracles.py.  q must be a prime
+    power whatever d is.
     """
     _require_int("q", q)
     _require_int("element order", d)

@@ -1,37 +1,15 @@
 """PSL(2,q) made concrete: GF(p^n) as lookup tables (q <= 32, filled by
 a digit recurrence, the modulus the first with no zero divisors, each
-field built once per process), an element-order census by trace class
-size (walked and checked once per field), Macbeath's Hurwitz
+field built once per process), an element-order census by Dickson's
+theorem (evaluated and checked once per field), Macbeath's Hurwitz
 classification, and transitivity verdicts.
 
-The census is the oracle of this package, and it rests on one lemma.
-A non-scalar M in SL(2,q) of trace t is GL(2,q)-conjugate to the
-companion matrix C_t = (0, -1; 1, t) of x^2 - tx + 1 (pick v not an
-eigenvector; in the basis v, Mv the matrix is C_t).  Conjugation keeps
-the order of the induced permutation x -> -1/(x + t) of the q+1 points
-of the projective line, and its fixed points, the r roots of
-x^2 + tx + 1 (as many as x^2 - tx + 1 has).  The centralizer of C_t is
-the unit group of GF(q)[x]/(x^2 - tx + 1), of order (q-1)^2, q^2-1 or
-q(q-1) for r = 2, 0 or 1, so the class has q(q+1), q(q-1) or q^2-1
-members.  With the scalar of trace t when r = 1, SL(2,q) has
-q(q - 1 + r) matrices of trace t.  Summed over t this is |SL(2,q)|
-exactly when the r sum to q - 1, which the coverage check tests.
-
-Two facts make each class cheap.  The permutation moves every point it
-does not fix in cycles of one length, its order: if g^j != 1 fixed a
-point that g moves, g would fix no point while g^2 fixed two, which no
-element of PSL(2,q) does.  Infinity is never fixed, so the cycle
-through infinity gives the order.  r is read from the discriminant,
-not from the permutation: for odd q, r = 1 + chi(t^2 - 4) with chi the
-quadratic character; for even q, r = 1 at t = 0 and otherwise 2 or 0
-as 1/t^2 is or is not of the form y^2 + y.  The moved points must
-split into whole cycles, which ties the walked order to the derived r.
-The walks this replaces are test oracles in tests/oracles.py:
-brute_perm_order_and_fixed (the whole permutation),
+The census evaluates Dickson's count of element orders in closed form.
+The enumerations that check it are test oracles in tests/oracles.py:
 brute_projective_census (one permutation per element) and
-brute_trace_tally (SL(2,q) by trace).  Everything the fixed-point
-formulas assume about element orders is cross-checked against the
-census.
+brute_order_census_tables (matrix powering).  At run time every order
+it finds is cross-checked against the arithmetic predicate the
+fixed-point formulas rest on.
 
 The transitivity verdicts encode a case analysis as data: the
 fixed-point counts they quote are computed, but facts like the
@@ -196,7 +174,7 @@ def _group_order(q):
 
 @record
 class OrderCensus:
-    """Element-order histogram of PSL(2,q), counted by trace class."""
+    """Element-order histogram of PSL(2,q)."""
 
     q: int
     group_order: int
@@ -213,67 +191,25 @@ class OrderCensus:
         return [(d, self.counts[d]) for d in self.orders()]
 
 
-def _root_counts(q, add, mul, inv, neg):
-    """r[t], the number of roots of x^2 + tx + 1 in GF(q), for each code t.
+def _dickson_counts(q, p):
+    """Element-order counts of PSL(2,q), q a power of the prime p, by
+    Dickson's theorem (Dickson, Linear Groups, 1901; Huppert, Endliche
+    Gruppen I, II.8).
 
-    For odd q it is 1 + chi(t^2 - 4), chi the quadratic character, read
-    from the set of squares.  For even q, t = 0 gives (x + 1)^2 and one
-    root; otherwise x = ty turns it into y^2 + y = 1/t^2, which has two
-    roots or none as 1/t^2 is in {y^2 + y} or not.
+    With d = gcd(2, q - 1): the identity is 1 element and order p has
+    q^2 - 1.  Every other element lies in exactly one maximal torus:
+    q(q + 1)/2 split tori, cyclic of order (q - 1)/d, and q(q - 1)/2
+    non-split ones, cyclic of order (q + 1)/d.  So each n > 1 dividing
+    (q - 1)/d has phi(n) q(q + 1)/2 elements, and each n > 1 dividing
+    (q + 1)/d has phi(n) q(q - 1)/2.  The phi(n) are read off the
+    cyclic group Z_m itself, in which k has order m / gcd(k, m).
     """
-    if q % 2:
-        squares = {row[y] for y, row in enumerate(mul)}
-        two = add[1][1]
-        minus_four = neg[add[two][two]]
-        discriminants = (add[mul[t][t]][minus_four] for t in range(q))
-        return [1 if d == 0 else 2 if d in squares else 0 for d in discriminants]
-    artin = {add[row[y]][y] for y, row in enumerate(mul)}
-    return [1] + [2 if inv[mul[t][t]] in artin else 0 for t in range(1, q)]
-
-
-def _cycle_order(add_t, inv, neg):
-    """Length of the cycle through infinity of x -> -1/(x + t); add_t is add[t].
-
-    Infinity goes to 0, and x goes back to infinity when x + t = 0.
-    """
-    order = 2
-    s = add_t[0]
-    while s:
-        s = add_t[neg[inv[s]]]
-        order += 1
-    return order
-
-
-def _census_counts(field):
-    """Element-order counts of PSL(2, field.q), tallied by trace class.
-
-    For each trace t, the companion permutation x -> -1/(x + t) of the
-    projective line (the q field codes plus a point at infinity) has
-    the order _cycle_order walks and the r fixed points _root_counts
-    derives (see the module's lemma), and the class has q(q - 1 + r)
-    members, less the scalar when r = 1.  Per class, the order must
-    divide the q + 1 - r moved points, and an order-p element must fix
-    exactly one.  For odd q each count is halved, as M and -M are one
-    element (the classes of t and -t are equal, that of t = 0 even); the
-    identity is counted last.
-    """
-    add, mul, inv, neg = field.tables()
-    p, q = field.p, field.q
-
-    counts = {}
-    for t, r in enumerate(_root_counts(q, add, mul, inv, neg)):
-        order = _cycle_order(add[t], inv, neg)
-        check((q + 1 - r) % order == 0, "trace %d: %d moved points do not split into "
-              "cycles of length %d" % (t, q + 1 - r, order))
-        if order == p:
-            check(r == 1, "order-%d element must fix exactly one point" % p)
-        counts[order] = counts.get(order, 0) + q * (q - 1 + r) - (r == 1)
-    if q % 2:
-        for order, members in counts.items():
-            check(members % 2 == 0, "%d elements of order %d do not pair up as M, -M"
-                  % (members, order))
-            counts[order] = members // 2
-    counts[1] = 1
+    d = gcd(2, q - 1)
+    counts = {1: 1, p: q * q - 1}
+    for m, tori in (((q - 1) // d, q * (q + 1) // 2), ((q + 1) // d, q * (q - 1) // 2)):
+        for k in range(1, m):
+            n = m // gcd(k, m)
+            counts[n] = counts.get(n, 0) + tori
     return counts
 
 
@@ -283,19 +219,20 @@ _CENSUSES = {}
 
 
 def order_census(q):
-    """Element-order census of PSL(2,q) by trace class size, q <= 32.
+    """Element-order census of PSL(2,q) by Dickson's theorem, q <= 32.
 
-    Each trace class's order and size come from one projective cycle
-    and one root count (see the module's lemma); the SL(2,q) walks are
-    test oracles in tests/oracles.py.  Totals are checked against
+    The counts come from _dickson_counts.  Totals are checked against
     q(q^2-1)/gcd(2,q-1) and every occurring order is checked against
     the arithmetic realizability predicate.
 
-    Every call reads its field from field_build.  The first census of
-    each field walks its trace classes and, once every check has passed,
-    is kept in _CENSUSES under that field; later calls rebuild the
-    record from those rows, rerunning the coverage and identity checks.
-    Every call returns a new record with its own counts dict.
+    Every call reads its field from field_build, though the formula
+    needs no field: perfbench's tracer patches FiniteField.tables and
+    expects a pslgroups.field span for each census, so the call and the
+    memo keyed by the field stay until that harness stops reaching in.
+    The first census of each field is kept in _CENSUSES under that field
+    once every check has passed; later calls rebuild the record from
+    those rows, rerunning the coverage and identity checks.  Every call
+    returns a new record with its own counts dict.
     """
     p, n = prime_power(q)
     if q > CENSUS_Q_LIMIT:
@@ -307,7 +244,7 @@ def order_census(q):
     rows = _CENSUSES.get(field)
     if rows is not None:
         return OrderCensus(q, _group_order(q), dict(rows))
-    census = OrderCensus(q, _group_order(q), _census_counts(field))
+    census = OrderCensus(q, _group_order(q), _dickson_counts(q, p))
     for d in census.orders():
         check(is_realizable_order(q, d),
               "census found order %d in PSL(2,%d) outside the arithmetic predicate" % (d, q))

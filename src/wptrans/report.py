@@ -558,7 +558,7 @@ COMMANDS = {
          "Accola-Maclachlan: minimal maximal automorphism group order 8(g+1)"),
         {"rows": "paper-derived"}),
     "census": Command(
-        "element-order census of PSL(2,q) by trace class size",
+        "element-order census of PSL(2,q) by Dickson's theorem",
         (Param("--q", "q"),),
         _census,
         ("Dickson: element orders in PSL(2,q) divide p, (q-1)/gcd(2,q-1), "
@@ -569,16 +569,25 @@ COMMANDS = {
 
 
 def run(request):
-    """Check a CommandRequest against COMMANDS, compute its body and wrap it."""
+    """Check a CommandRequest against COMMANDS, compute its body and wrap it.
+
+    Every parameter key must be one the command declares, so the echoed
+    parameters are exactly those the body read.
+    """
     command = COMMANDS.get(request.subcommand)
     if command is None:
         raise ValueError("unknown subcommand %r (expected one of %s)"
                          % (request.subcommand, ", ".join(sorted(COMMANDS))))
     params = request.parameters
+    declared = [param.key for param in command.params]
+    undeclared = [str(key) for key in params if key not in declared]
+    if undeclared:
+        raise ValueError("undeclared parameters for %s: %s"
+                         % (request.subcommand, ", ".join(undeclared)))
     for param in command.params:
         if param.required and params.get(param.key) is None:
             raise ValueError("missing parameter: %s" % param.key)
-    body = command.body(**{p.key: params[p.key] for p in command.params if p.key in params})
+    body = command.body(**params)
     return ReportDocument(
         subcommand=request.subcommand,
         parameters=dict(params),

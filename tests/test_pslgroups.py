@@ -37,7 +37,6 @@ from oracles import (
     brute_generating_pair,
     brute_is_prime,
     brute_order_census_tables,
-    brute_perm_order_and_fixed,
     brute_prime_power,
     brute_projective_census,
     brute_surface_fixed_points,
@@ -212,24 +211,20 @@ def test_census_matches_projective_oracle():
 
 
 def test_census_checks_raise_invariant_error(monkeypatch):
-    # each check starts from an empty memo, so q = 7 is walked, not recalled
+    # each check starts from an empty memo, so q = 7 is counted, not recalled;
+    # a formula that drops the non-split tori undercounts
     monkeypatch.setattr(pslgroups, "_CENSUSES", {})
-    monkeypatch.setattr(pslgroups, "_census_counts", lambda field: {1: 1})
+    monkeypatch.setattr(pslgroups, "_dickson_counts",
+                        lambda q, p: {1: 1, 3: 56, 7: 48})
     with pytest.raises(InvariantError, match="does not cover the group"):
         order_census(7)
-    monkeypatch.undo()
-    # a walked order must divide the points the derived root count leaves moved
+    # the right total with the identity counted twice
     monkeypatch.setattr(pslgroups, "_CENSUSES", {})
-    monkeypatch.setattr(pslgroups, "_cycle_order", lambda add_t, inv, neg: 3)
-    with pytest.raises(InvariantError,
-                       match="trace 0: 8 moved points do not split into cycles of length 3"):
+    monkeypatch.setattr(pslgroups, "_dickson_counts",
+                        lambda q, p: {1: 2, 2: 20, 3: 56, 4: 42, 7: 48})
+    with pytest.raises(InvariantError, match="identity must be counted exactly once"):
         order_census(7)
-    # class sizes rest on the root counts: no roots anywhere undercounts
-    monkeypatch.setattr(pslgroups, "_CENSUSES", {})
-    monkeypatch.setattr(pslgroups, "_cycle_order", lambda add_t, inv, neg: 2)
-    monkeypatch.setattr(pslgroups, "_root_counts", lambda q, add, mul, inv, neg: [0] * q)
-    with pytest.raises(InvariantError, match="does not cover the group"):
-        order_census(7)
+    assert pslgroups._CENSUSES == {}
 
 
 def test_census_memo_hands_each_caller_its_own_record():
@@ -242,22 +237,20 @@ def test_census_memo_hands_each_caller_its_own_record():
     assert order_census(17).counts == second.counts == brute_projective_census(17, 1)
 
 
-def test_census_walks_each_field_once(monkeypatch):
+def test_census_evaluates_each_field_once(monkeypatch):
     monkeypatch.setattr(pslgroups, "_CENSUSES", {})
-    walked = []
-    walk = pslgroups._census_counts
+    evaluated = []
+    formula = pslgroups._dickson_counts
 
-    def counted(field):
-        walked.append(field.q)
-        return walk(field)
+    def counted(q, p):
+        evaluated.append(q)
+        return formula(q, p)
 
-    monkeypatch.setattr(pslgroups, "_census_counts", counted)
+    monkeypatch.setattr(pslgroups, "_dickson_counts", counted)
     first = [order_census(q) for q in PRIME_POWERS_32]
     again = [order_census(q) for q in PRIME_POWERS_32]
-    assert walked == list(PRIME_POWERS_32)
-    # a recalled census keeps the walk's insertion order, which the
-    # rendered output follows
-    assert [list(c.counts.items()) for c in again] == [list(c.counts.items()) for c in first]
+    assert evaluated == list(PRIME_POWERS_32)
+    assert again == first
 
 
 def test_every_census_reads_its_field_from_field_build(monkeypatch):
@@ -283,15 +276,17 @@ def test_census_memo_keeps_no_census_that_fails_a_check(monkeypatch):
     monkeypatch.setattr(pslgroups, "_CENSUSES", {})
     # covers the group and counts the identity once, but order 6 is no
     # element order of PSL(2,7): only the realizability check fails
-    monkeypatch.setattr(pslgroups, "_census_counts", lambda field: {1: 1, 6: 167})
+    monkeypatch.setattr(pslgroups, "_dickson_counts", lambda q, p: {1: 1, 6: 167})
     with pytest.raises(InvariantError, match="order 6 in PSL\\(2,7\\)"):
         order_census(7)
     assert pslgroups._CENSUSES == {}
     monkeypatch.undo()
     monkeypatch.setattr(pslgroups, "_CENSUSES", {})
     assert order_census(7).counts == {1: 1, 2: 21, 3: 56, 4: 42, 7: 48}
+    # the memo's row order is internal: rows() sorts what is rendered
     gf7 = field_build(7, 1)
-    assert pslgroups._CENSUSES == {gf7: ((2, 21), (3, 56), (7, 48), (4, 42), (1, 1))}
+    assert list(pslgroups._CENSUSES) == [gf7]
+    assert sorted(pslgroups._CENSUSES[gf7]) == [(1, 1), (2, 21), (3, 56), (4, 42), (7, 48)]
     # a recalled census is checked again: rows that miss the group fail
     monkeypatch.setattr(pslgroups, "_CENSUSES", {gf7: ((1, 1),)})
     with pytest.raises(InvariantError, match="does not cover the group"):
@@ -308,21 +303,6 @@ def test_census_memo_keys_are_the_memoized_fields():
     assert sorted(field.q for field in pslgroups._CENSUSES) == list(PRIME_POWERS_32)
     for field in pslgroups._CENSUSES:
         assert pslgroups._FIELDS[field.p, field.n] is field, field.q
-
-
-def test_cycle_order_and_root_count_match_whole_permutation():
-    # the cycle through infinity and the discriminant rule against every
-    # cycle of x -> -1/(x + t), built over the oracle's own field tables
-    for q in PRIME_POWERS_32:
-        p, n = prime_power(q)
-        add, mul, inv, neg = field_build(p, n).tables()
-        roots = pslgroups._root_counts(q, add, mul, inv, neg)
-        badd, _, binv, bneg = brute_field_tables(p, n, brute_first_irreducible(p, n))
-        for t in range(q):
-            images = [q if badd[t][x] == 0 else bneg[binv[badd[t][x]]] for x in range(q)]
-            images.append(0)  # infinity -> 0
-            census = (pslgroups._cycle_order(add[t], inv, neg), roots[t])
-            assert census == brute_perm_order_and_fixed(images), (q, t)
 
 
 # every (q, t) with q <= 32 and t >= 7 an element order of PSL(2,q); the
@@ -384,7 +364,7 @@ def test_trace_class_sizes_match_oracle():
 def test_census_checks_survive_optimize():
     # under python -O bare asserts vanish; the census checks must still exit 3
     code = ("import sys; from wptrans import pslgroups, cli; "
-            "pslgroups._census_counts = lambda field: {1: 1}; "
+            "pslgroups._dickson_counts = lambda q, p: {1: 1}; "
             "sys.exit(cli.main(['census', '--q', '7']))")
     src = os.path.dirname(os.path.dirname(wptrans.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -401,6 +381,20 @@ def test_census_totals_and_realizability_two_sided():
         assert sum(census.counts.values()) == census.group_order
         arithmetic = {d for d in range(1, q + 2) if is_realizable_order(q, d)}
         assert set(census.orders()) == arithmetic
+
+
+def test_dickson_counts_beyond_the_census_limit():
+    # the formula has no limit of its own: for every prime power q < 2000
+    # it covers the group, counts the identity once and q^2 - 1 elements
+    # of order p, and finds exactly the orders the predicate admits among
+    # p and the divisors of q - 1 and q + 1
+    for q in _prime_powers(1999):
+        p, _ = prime_power(q)
+        counts = pslgroups._dickson_counts(q, p)
+        assert sum(counts.values()) == psl2_order(q), q
+        assert counts[1] == 1 and counts[p] == q * q - 1, q
+        candidates = {d for d in range(1, q + 2) if (q - 1) % d == 0 or (q + 1) % d == 0}
+        assert set(counts) == {d for d in candidates | {p} if is_realizable_order(q, d)}, q
 
 
 def _cli_json(capsys, argv):

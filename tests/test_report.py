@@ -235,6 +235,16 @@ def test_run_rejects_unknown_subcommand(request_):
         run(CommandRequest(request_.subcommand, params))
 
 
+def test_run_rejects_undeclared_parameters():
+    # the census body reads only q, so workers and bogus would be echoed
+    # under parameters without having been used
+    with pytest.raises(ValueError, match="^undeclared parameters for census: workers, bogus$"):
+        run(CommandRequest("census", {"q": 8, "workers": 4, "bogus": "x"}))
+    with pytest.raises(ValueError, match="^undeclared parameters for validate-tables: 7$"):
+        run(CommandRequest("validate-tables", {7: 7}))
+    assert run(CommandRequest("census", {"q": 8})).parameters == {"q": 8}
+
+
 @pytest.mark.parametrize("request_", EXAMPLES, ids=lambda r: r.subcommand)
 def test_every_subcommand_round_trips_through_json(request_):
     doc = run(request_)
