@@ -11,8 +11,6 @@ Nothing here claims a surface attains the candidate weights; only the
 refutation is mechanized.
 """
 
-from fractions import Fraction
-
 from .orbitweights import TransitivityStatus, TransitivityVerdict
 from .surfacecore import _require_int, check, record, total_weight
 
@@ -94,6 +92,8 @@ def nu(g):
     nu(g) is what a transitive bi-elliptic action would force, via
     |W| = 2g + 10 + nu(g).
     """
+    from fractions import Fraction
+
     _require_int("genus", g)
     return Fraction(28 * g - 100, g * g - 5 * g + 10)
 
@@ -132,7 +132,7 @@ def garcia_transitivity_test(g):
         reasons.append("candidate weight %d divides g^3 - g: |W| = %d" % (w, count))
         if w == window.candidates[1]:
             value = nu(g)
-            check(2 * g + 10 + value == Fraction(total, w), "|W| identity broke")
+            check((2 * g + 10 + value) * w == total, "|W| identity broke")
             reasons.append("|W| = 2g + 10 + nu(g) with nu(%d) = %s" % (g, value))
     reasons.append("divisibility alone cannot refute transitivity here")
     return TransitivityVerdict(

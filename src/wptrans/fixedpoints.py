@@ -16,7 +16,6 @@ sqrt(q), for every q below PRIME_TEST_BOUND (about 3.3e24) and reject
 larger q.
 """
 
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .surfacecore import InvariantError, _is_int, _require_int
@@ -127,6 +126,8 @@ def prime_power(q):
 
 def _divisor_sum(periods, d):
     """sum of 1/m_i over the periods divisible by d, exact."""
+    from fractions import Fraction
+
     total = Fraction(0)
     for m in periods:
         if m % d == 0:

@@ -1,8 +1,9 @@
 """PSL(2,q) made concrete: GF(p^n) as lookup tables (q <= 32, filled by
 a digit recurrence, the modulus the first with no zero divisors, each
-field built once per process), an element-order census by Dickson's
-theorem (evaluated and checked once per field), Macbeath's Hurwitz
-classification, and transitivity verdicts.
+field made once per process and its tables filled on first read), an
+element-order census by Dickson's theorem (evaluated and checked once
+per field, reading no table), Macbeath's Hurwitz classification, and
+transitivity verdicts.
 
 The census evaluates Dickson's count of element orders in closed form.
 The enumerations that check it are test oracles in tests/oracles.py:
@@ -49,24 +50,34 @@ CENSUS_Q_LIMIT = 32
 # GF(p^n)
 
 class FiniteField:
-    """GF(p^n) as lookup tables over the codes 0..q-1, read through tables();
-    see field_build."""
+    """GF(p^n) over the codes 0..q-1.  Only p, n and q are set at once:
+    the modulus and the lookup tables are found on the first read of
+    modulus or tables() and kept; see field_build."""
 
-    def __init__(self, p, n, modulus, add, mul):
+    def __init__(self, p, n):
         self.p = p
         self.n = n
         self.q = p ** n
-        self.modulus = modulus  # little-endian, length n+1, monic
-        self._tables = (add, mul, (None,) + tuple(row.index(1) for row in mul[1:]),
-                        tuple(row.index(0) for row in add))
+        self._tables = None
+
+    @property
+    def modulus(self):
+        """Little-endian coefficients, length n+1, monic."""
+        self.tables()
+        return self._modulus
 
     def tables(self):
         """(add, mul, inv, neg) lookup tables; inv[0] is None."""
+        if self._tables is None:
+            self._modulus, add, mul = _new_field(self.p, self.n, self.q)
+            self._tables = (add, mul, (None,) + tuple(row.index(1) for row in mul[1:]),
+                            tuple(row.index(0) for row in add))
         return self._tables
 
 
-# one field per (p, n), built on first use: at most the 18 prime powers
-# q <= CENSUS_Q_LIMIT, about 20 KB of tables
+# one field per (p, n), made on first use: at most the 18 prime powers
+# q <= CENSUS_Q_LIMIT, each holding its tables (about 20 KB in all) only
+# once they have been read
 _FIELDS = {}
 
 
@@ -86,9 +97,11 @@ def field_build(p, n):
     1 to one digit.  The per-entry polynomial oracle is
     tests/oracles.py:brute_field_tables.
 
-    Each field is built once per process and kept in _FIELDS, so every
-    call after the first returns the same object; its tables are tuples
-    of tuples, which no caller can change under another.
+    Each field is made once per process and kept in _FIELDS, so every
+    call after the first returns the same object.  It holds only p, n and
+    q until its modulus or tables() is first read; that read runs
+    _new_field once and the field keeps the result.  The tables are
+    tuples of tuples, which no caller can change under another.
     """
     if not is_prime(p):
         raise ValueError("%r is not prime" % (p,))
@@ -101,7 +114,7 @@ def field_build(p, n):
         raise ValueError("field size %d exceeds the desk-scale bound %d" % (q, CENSUS_Q_LIMIT))
     field = _FIELDS.get((p, n))
     if field is None:
-        field = _FIELDS[p, n] = _new_field(p, n, q)
+        field = _FIELDS[p, n] = FiniteField(p, n)
     return field
 
 
@@ -116,9 +129,9 @@ def _digitwise(digit_map, q):
 
 
 def _new_field(p, n, q):
-    """GF(p^n) with its tables filled by the digit recurrence, trying
-    the moduli X^n + m in order and dropping each at its first zero
-    divisor; see field_build."""
+    """(modulus, add, mul) of GF(p^n), the tables filled by the digit
+    recurrence, trying the moduli X^n + m in order and dropping each at
+    its first zero divisor; see field_build."""
     # add[u] for u = p^j adds 1 to digit j; any other x is (x - u) + u for
     # the largest such u <= x, so add[x] is add[x - u] after add[u], one
     # composition of rows (itemgetter(*a)(b)[y] is b[a[y]])
@@ -149,8 +162,8 @@ def _new_field(p, n, q):
                 break
             mul.append(row)
         else:
-            return FiniteField(p, n, tuple(m // p ** i % p for i in range(n)) + (1,),
-                               tuple(map(tuple, add)), tuple(map(tuple, mul)))
+            return (tuple(m // p ** i % p for i in range(n)) + (1,),
+                    tuple(map(tuple, add)), tuple(map(tuple, mul)))
     raise AssertionError("no irreducible polynomial of degree %d over GF(%d)" % (n, p))
 
 
@@ -214,7 +227,8 @@ def _dickson_counts(q, p):
 
 
 # (order, count) rows of each field's checked census, keyed by the
-# field in _FIELDS: at most 18 entries, about 11 KB
+# field in _FIELDS, whose tables a census never fills: at most 18
+# entries, about 11 KB
 _CENSUSES = {}
 
 
@@ -229,6 +243,7 @@ def order_census(q):
     needs no field: perfbench's tracer patches FiniteField.tables and
     expects a pslgroups.field span for each census, so the call and the
     memo keyed by the field stay until that harness stops reaching in.
+    The field's tables are never read here, so a census fills none.
     The first census of each field is kept in _CENSUSES under that field
     once every check has passed; later calls rebuild the record from
     those rows, rerunning the coverage and identity checks.  Every call

@@ -14,7 +14,6 @@ Accola-Maclachlan groups, and the table's convention that the printed
 order equals 2E.
 """
 
-import json
 from itertools import chain, islice
 
 from . import bielliptic, fermat, orbitweights, platonic, pslgroups
@@ -601,11 +600,12 @@ def run(request):
 # rendering
 
 _JSON_INT_LIMIT = 2 ** 53
-_quote = json.encoder.encode_basestring_ascii
 
 
 def to_jsonable(doc):
     """The JSON tree that render_json writes for doc."""
+    import json
+
     return json.loads(render_json(doc))
 
 
@@ -620,24 +620,29 @@ def render_json(doc):
     %d template, and a list object met again at the same depth (the
     unmasked listing's surviving_solutions is its solutions) repeats the
     fragments written for it the first time.
+
+    json is imported here, not with the module, so a text run never
+    loads it; its string quoting is passed down the walk.
     """
+    from json.encoder import encode_basestring_ascii as quote
+
     parts = []
     _json_parts({"subcommand": doc.subcommand, "parameters": doc.parameters,
                  "body": doc.body, "citations": doc.citations,
-                 "provenance": doc.provenance}, 0, parts, {})
+                 "provenance": doc.provenance}, 0, parts, {}, quote)
     return "".join(parts)
 
 
-def _json_parts(value, depth, parts, seen):
+def _json_parts(value, depth, parts, seen, quote):
     if value is None:
         parts.append("null")
     elif value is True or value is False:
         parts.append("true" if value else "false")
     elif isinstance(value, int):
         in_range = -_JSON_INT_LIMIT <= value <= _JSON_INT_LIMIT
-        parts.append(int.__repr__(value) if in_range else _quote(str(value)))
+        parts.append(int.__repr__(value) if in_range else quote(str(value)))
     elif isinstance(value, (list, tuple)):
-        _json_list(value, depth, parts, seen)
+        _json_list(value, depth, parts, seen, quote)
     elif isinstance(value, dict):
         if not value:
             parts.append("{}")
@@ -646,15 +651,15 @@ def _json_parts(value, depth, parts, seen):
         items = {str(k): v for k, v in value.items()}
         sep = "{" + inner
         for key in sorted(items):
-            parts.append(sep + _quote(key) + ": ")
-            _json_parts(items[key], depth + 1, parts, seen)
+            parts.append(sep + quote(key) + ": ")
+            _json_parts(items[key], depth + 1, parts, seen, quote)
             sep = "," + inner
         parts.append("\n" + "  " * depth + "}")
     else:
-        parts.append(_quote(str(value)))
+        parts.append(quote(str(value)))
 
 
-def _json_list(value, depth, parts, seen):
+def _json_list(value, depth, parts, seen, quote):
     if not value:
         parts.append("[]")
         return
@@ -678,7 +683,7 @@ def _json_list(value, depth, parts, seen):
         sep = "[" + inner
         for v in value:
             parts.append(sep)
-            _json_parts(v, depth + 1, parts, seen)
+            _json_parts(v, depth + 1, parts, seen, quote)
             sep = "," + inner
     parts.append("\n" + "  " * depth + "]")
     seen[key] = start, len(parts)

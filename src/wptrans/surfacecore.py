@@ -7,8 +7,6 @@ structural validation of regular-map descriptors (dart and Euler
 identities).
 """
 
-from fractions import Fraction
-
 __all__ = [
     "FuchsianSignature",
     "RegularMapDescriptor",
@@ -208,6 +206,8 @@ class FuchsianSignature:
 
     def mu(self):
         """Normalized area 2h - 2 + sum(1 - 1/m_i), as an exact Fraction."""
+        from fractions import Fraction
+
         area = Fraction(2 * self.orbit_genus - 2)
         for m in self.periods:
             area += 1 - Fraction(1, m)

@@ -272,6 +272,28 @@ def test_every_census_reads_its_field_from_field_build(monkeypatch):
         assert asked == list(PRIME_POWERS_32)
 
 
+def test_census_fills_no_field_table(monkeypatch):
+    # a census asks field_build for its field but reads no table, so no
+    # modulus search runs; the first read of either builds both, once
+    monkeypatch.setattr(pslgroups, "_FIELDS", {})
+    monkeypatch.setattr(pslgroups, "_CENSUSES", {})
+    built = []
+    new_field = pslgroups._new_field
+
+    def counted(p, n, q):
+        built.append(q)
+        return new_field(p, n, q)
+
+    monkeypatch.setattr(pslgroups, "_new_field", counted)
+    for q in PRIME_POWERS_32:
+        order_census(q)
+    assert built == []
+    field = field_build(2, 5)
+    modulus, tables = field.modulus, field.tables()
+    assert field.modulus is modulus and field.tables() is tables
+    assert built == [32]
+
+
 def test_census_memo_keeps_no_census_that_fails_a_check(monkeypatch):
     monkeypatch.setattr(pslgroups, "_CENSUSES", {})
     # covers the group and counts the identity once, but order 6 is no

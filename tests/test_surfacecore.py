@@ -335,15 +335,22 @@ def test_module_does_not_import_dataclasses(module):
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
-    # typing too: no module defines a NamedTuple
+    # typing too: no module defines a NamedTuple.  json loads only on the
+    # JSON path and fractions (with its decimal and numbers) only where a
+    # Fraction is built, so neither the import nor a text census loads them
     src = os.path.dirname(os.path.dirname(wptrans.__file__))
-    code = ("import sys, wptrans.cli\n"
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n")
+    code = ("import contextlib, io, sys, wptrans.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'json', 'fractions',\n"
+            "              'decimal', 'numbers'} & set(sys.modules)))\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    code = wptrans.cli.main(['census', '--q', '8'])\n"
+            "print(code, out.getvalue().splitlines()[0])\n"
+            "print(sorted({'json', 'fractions'} & set(sys.modules)))\n")
     # -S: no site-packages hooks, so only what wptrans imports is loaded
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src))
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert done.stdout == "[]\n0 wptrans census\n[]\n"
 
 
 def test_package_exports_every_module_all():
