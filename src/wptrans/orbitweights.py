@@ -23,18 +23,24 @@ with equal remainders merged, at a cost polynomial in the equation's
 width; see _layers, _count and _walk_counts.  A support is decided by a
 certificate, Brauer's bound on the Frobenius number, and counted only
 where the bound cannot decide it; see _brauer_bound and
-WeightEquationSolutionSet.supports.  Each support's sum, gcd and bound
-depend only on the gcd-reduced coefficients, so they are tabled once per
-reduced tuple, like the count's differences, and the genera of a
-triangle signature share one table; see _certificates.  A listing reads
-the same layers, keeps the remainders that complete, and walks only the
-prefixes through them, within a budget of remainder steps charged per
-layer it scans; see _solutions.
+_equation_supports.  Each support's sum, gcd and bound depend only on
+the gcd-reduced coefficients, so they are tabled once per reduced tuple,
+like the count's differences, and the genera of a triangle signature
+share one table; see _certificates.  On top of those tables, each
+equation's supports, its count and its verdict under each mask and
+profile are decided once per process, in bounded memos; see
+_equation_supports, _equation_count and _VERDICTS.  classify still
+checks its arguments on every call, and every masked count against the
+set's own count.  A listing reads the same layers, keeps the
+remainders that complete, and walks only the prefixes through them,
+within a budget of remainder steps charged per layer it scans; see
+_solutions.
 
 This module also carries the necessary-condition arithmetic
 w = |G_p| (g^3 - g) / |G| and the simple-point elimination chain.
 """
 
+import collections
 import enum
 import functools
 import itertools
@@ -148,11 +154,13 @@ def orbit_profile(group_order, periods):
 class WeightEquationSolutionSet:
     """The nonnegative solutions of sum(c_j w_j) = target, listed on first read.
 
-    count and supports are decided without listing anything.
-    solutions is listed, lex sorted, the first time it is read, and
-    checked then: every solution against the equation, the order, and
-    the length against count.  Reading it raises ValueError where the
-    listing would pass LISTING_STEP_CAP or LISTING_SOLUTION_CAP.
+    count and supports are decided without listing anything, once per
+    equation in a process, so every set of one equation shares them (see
+    _equation_count and _equation_supports).  solutions is listed, lex
+    sorted, the first time it is read, and checked then: every solution
+    against the equation, the order, and the length against count.
+    Reading it raises ValueError where the listing would pass
+    LISTING_STEP_CAP or LISTING_SOLUTION_CAP.
     """
 
     coefficients: tuple
@@ -166,43 +174,21 @@ class WeightEquationSolutionSet:
             raise ValueError("coefficients must be positive integers")
         if self.target < 0:
             raise ValueError("target must be nonnegative")
+        # the memos key on the coefficients
+        object.__setattr__(self, "coefficients", tuple(self.coefficients))
 
     @functools.cached_property
     def count(self):
-        return _count(self.coefficients, self.target)
+        """The number of solutions, read from _equation_count."""
+        return _equation_count(self.coefficients, self.target)
 
     @functools.cached_property
     def supports(self):
         """Every feasible support, by size and then lex: each sorted index
-        tuple S for which some solution is nonzero exactly on S.
-
-        Divide by g = gcd(c): no support is feasible unless g divides the
-        target, and then the equation in c/g with target t = target/g has
-        the same supports.  w_j = u_j + 1 on S turns its solutions into the
-        nonnegative solutions u of sum_S c_j u_j = rest, rest = t -
-        sum_S c_j.  With d = gcd(c_S) there is one exactly when rest >= 0,
-        d divides rest, and rest/d is a nonnegative combination of the
-        c_S/d: certainly so when rest/d is above Brauer's bound for c_S/d
-        (see _brauer_bound), and otherwise when _count finds a solution.
-        Each support's sum, d and bound depend on c/g alone and are read
-        from _certificates, so a support costs a subtraction, a modulo and
-        a comparison unless it falls back to a count.  The empty support
-        is feasible when the target is 0.  Decided once per set:
-        classifications of one set under different masks share them.
+        tuple S for which some solution is nonzero exactly on S.  Read from
+        _equation_supports, so every set of one equation shares them.
         """
-        coeffs, target = self.coefficients, self.target
-        g = math.gcd(*coeffs)
-        if target % g:
-            return ()
-        reduced, t = tuple(c // g for c in coeffs), target // g
-        feasible = [()] if t == 0 else []
-        for s, total, d, bound in _certificates(reduced):
-            rest = t - total
-            # a multiple of d above bound is >= 0 (see _certificates)
-            if rest % d == 0 and (rest > bound
-                                  or rest >= 0 and _count([reduced[j] for j in s], rest)):
-                feasible.append(s)
-        return tuple(feasible)
+        return _equation_supports(self.coefficients, self.target)
 
     @functools.cached_property
     def solutions(self):
@@ -466,19 +452,65 @@ def _certificates(reduced):
     return tuple(rows)
 
 
+# a supports tuple holds at most 8,191 pointers into certificate rows
+# (~64 KB at the CLI's 13 coefficients) and keeps those rows' index tuples
+# alive once their table leaves _certificates: ~0.8 MB in all under
+# tracemalloc on CPython 3.11, so 64 equations stay under ~52 MB
+@functools.lru_cache(maxsize=64)
+def _equation_supports(coefficients, target):
+    """Every feasible support of sum c_j w_j = target, by size and then lex.
+
+    Divide by g = gcd(c): no support is feasible unless g divides the
+    target, and then the equation in c/g with target t = target/g has
+    the same supports.  w_j = u_j + 1 on S turns its solutions into the
+    nonnegative solutions u of sum_S c_j u_j = rest, rest = t -
+    sum_S c_j.  With d = gcd(c_S) there is one exactly when rest >= 0,
+    d divides rest, and rest/d is a nonnegative combination of the
+    c_S/d: certainly so when rest/d is above Brauer's bound for c_S/d
+    (see _brauer_bound), and otherwise when _count finds a solution.
+    Each support's sum, d and bound depend on c/g alone and are read
+    from _certificates, so a support costs a subtraction, a modulo and
+    a comparison unless it falls back to a count.  The empty support
+    is feasible when the target is 0.  Decided once per equation in a
+    process: every set of it, under every mask, shares them.
+    """
+    g = math.gcd(*coefficients)
+    if target % g:
+        return ()
+    reduced, t = tuple(c // g for c in coefficients), target // g
+    feasible = [()] if t == 0 else []
+    for s, total, d, bound in _certificates(reduced):
+        rest = t - total
+        # a multiple of d above bound is >= 0 (see _certificates)
+        if rest % d == 0 and (rest > bound
+                              or rest >= 0 and _count([reduced[j] for j in s], rest)):
+            feasible.append(s)
+    return tuple(feasible)
+
+
+# a count is one int, and its key shares the set's coefficient tuple:
+# well under 1 KB an entry, so 1,024 equations stay under ~1 MB
+@functools.lru_cache(maxsize=1024)
+def _equation_count(coefficients, target):
+    """The number of solutions of sum c_j w_j = target, once per process
+    (see _count, which stays unmemoized)."""
+    return _count(coefficients, target)
+
+
 def solve_weight_equation(coefficients, target):
     """The nonnegative integer solutions of sum c_j w_j = target.
 
     Builds the solution set, which validates the equation; nothing is
     enumerated here.  The set's count is a quasi-polynomial in the target
     (see _count), and its feasible supports are decided by Brauer's bound
-    or a count (see WeightEquationSolutionSet.supports).  Its solutions
-    are listed on first read, lex sorted, and re-verified exactly then.
-    The listing walks only prefixes that some solution completes, and
-    solves the last pair instead of searching it (see _solutions); it
-    raises ValueError where its layer scans would pass LISTING_STEP_CAP
-    remainder steps or its solutions LISTING_SOLUTION_CAP.  An empty set
-    is a valid answer.
+    or a count (see _equation_supports).  Both are decided once per
+    equation in a process, so a fresh set of a decided equation reads
+    them from a memo.  Its solutions are listed on first read, lex
+    sorted, and re-verified exactly then.  The listing walks only
+    prefixes that some solution completes, and solves the last pair
+    instead of searching it (see _solutions); it raises ValueError where
+    its layer scans would pass LISTING_STEP_CAP remainder steps or its
+    solutions LISTING_SOLUTION_CAP.  An empty set is a valid answer.
     """
     return WeightEquationSolutionSet(tuple(coefficients), target)
 
@@ -490,22 +522,30 @@ def classify(sol_set, zero_indices=(), profile=None):
     is how external vanishing facts (for instance Streit's result that
     vertex and face-centre weights vanish on the genus-14 Hurwitz
     surfaces) are injected without hard-coding conclusions.  An empty
-    set after masking means the constraints are inconsistent.
+    set after masking means the constraints are inconsistent.  A profile
+    must have one stabilizer order per coefficient, else ValueError.
 
     The verdict is decided from the equation, and the set is not listed.
     A support S (a set of coordinates) is feasible when some solution is
-    nonzero exactly on S; sol_set.supports decides each once per set,
-    from a certificate tabled once per reduced coefficient tuple, and
-    without a count where Brauer's bound decides it.  The surviving
-    solutions are those whose support avoids the mask.  Supports run by
-    size, so the first and last of those give the fewest and most
-    orbits, and the coordinates common to all surviving solutions are
-    the intersection of those supports.  A singleton support {j} carries
-    the single weight target / c_j.  Only the supports that Brauer's
-    bound cannot decide are counted; a mask adds the masked and full
-    counts.  The mask reason's "%d of %d" are the count of the equation
-    with the masked coordinates removed, which must lie between 1 and the
-    full count (checked), and the full count.
+    nonzero exactly on S; sol_set.supports decides each once per
+    equation, from a certificate tabled once per reduced coefficient
+    tuple, and without a count where Brauer's bound decides it.  The
+    surviving solutions are those whose support avoids the mask.
+    Supports run by size, so the first and last of those give the fewest
+    and most orbits, and the coordinates common to all surviving
+    solutions are the intersection of those supports.  A singleton
+    support {j} carries the single weight target / c_j.  Only the
+    supports that Brauer's bound cannot decide are counted; a mask adds
+    the masked and full counts.  The mask reason's "%d of %d" are the
+    count of the equation with the masked coordinates removed, which
+    must lie between 1 and the full count (checked), and the full count.
+
+    Every call checks the set, the mask and the profile.  The verdict is
+    then decided once per process for each equation, normalized mask and
+    profile stabilizer orders (see _VERDICTS), so a repeat call returns
+    the same verdict object; verdicts are frozen, so sharing one is safe.
+    Every masked call, decided before or not, checks the masked count
+    against the set's own count, and a verdict is kept only once it has.
 
     Verdicts:
       - every surviving solution concentrated on one and the same
@@ -521,30 +561,63 @@ def classify(sol_set, zero_indices=(), profile=None):
     """
     coeffs, target = sol_set.coefficients, sol_set.target
     n = len(coeffs)
-    supports = sol_set.supports
-    if not supports:
+    if not sol_set.supports:
         raise ValueError("cannot classify an empty solution set")
     mask = tuple(zero_indices)
     if not _integers(*mask):
         raise ValueError("mask indices must be integers, got %r" % (mask,))
-    masked = set(mask)
-    mask = tuple(sorted(masked))
+    mask = tuple(sorted(set(mask)))
     for i in mask:
         if not 0 <= i < n:
             raise ValueError("mask index %d out of range" % i)
-    survivors = [s for s in supports if masked.isdisjoint(s)]
+    stabilizers = None
+    if profile is not None:
+        stabilizers = tuple(profile.stabilizer_orders)
+        if len(stabilizers) != n:
+            raise ValueError("the profile has %d stabilizer orders, the equation %d coefficients"
+                             % (len(stabilizers), n))
+    key = (coeffs, target, mask, stabilizers)
+    decided = _VERDICTS.get(key)
+    verdict, surviving = decided or _decide(sol_set, mask, stabilizers)
+    # on every masked call: the message is formatted only on failure
+    if mask and not 0 < surviving <= sol_set.count:
+        raise InvariantError("%d solutions survive the mask, not between 1 and the count %d"
+                             % (surviving, sol_set.count))
+    if decided is None:
+        if len(_VERDICTS) >= _VERDICTS_SIZE:
+            _VERDICTS.popitem(last=False)
+        _VERDICTS[key] = verdict, surviving
+    return verdict
+
+
+# a verdict holds at most 16 reasons of ~120 characters (one per
+# guaranteed coordinate at the CLI's 13 coefficients, and three more):
+# with its key, ~4.7 KB under tracemalloc on CPython 3.11, so 1,024
+# verdicts stay under ~5 MB
+_VERDICTS_SIZE = 1024
+_VERDICTS = collections.OrderedDict()
+"""classify's checked (verdict, masked count) per (coefficients, target,
+normalized mask, stabilizer orders or None), at most _VERDICTS_SIZE of
+them, the oldest dropped first (popitem is one call, safe between
+threads)."""
+
+
+def _decide(sol_set, mask, stabilizers):
+    """classify's verdict and masked count (None unmasked), from the set's
+    supports and counts; mask and stabilizers are as classify checks them."""
+    coeffs, target = sol_set.coefficients, sol_set.target
+    masked = set(mask)
+    survivors = [s for s in sol_set.supports if masked.isdisjoint(s)]
     if not survivors:
         raise ValueError("inconsistent constraints: no solutions survive the mask")
 
-    reasons = []
+    reasons, surviving = [], None
     if mask:
-        kept = [c for j, c in enumerate(coeffs) if j not in mask]
-        surviving, count = _count(kept, target), sol_set.count
-        check(0 < surviving <= count, "%d solutions survive the mask, not between 1 and "
-              "the count %d" % (surviving, count))
+        kept = [c for j, c in enumerate(coeffs) if j not in masked]
+        surviving = _count(kept, target)
         reasons.append(
             "mask forces w%s = 0; %d of %d solutions survive"
-            % (",w".join(str(i + 1) for i in mask), surviving, count)
+            % (",w".join(str(i + 1) for i in mask), surviving, sol_set.count)
         )
 
     lo, hi = len(survivors[0]), len(survivors[-1])
@@ -559,7 +632,7 @@ def classify(sol_set, zero_indices=(), profile=None):
     # coordinate: the only surviving support is {j}, with one weight
     if hi == 1 and len(guaranteed) == 1:
         j = guaranteed[0]
-        if profile is not None and profile.stabilizer_orders[j] == 1:
+        if stabilizers is not None and stabilizers[j] == 1:
             reasons.append(
                 "the single surviving orbit is the free orbit (trivial stabilizer)"
             )
@@ -567,22 +640,18 @@ def classify(sol_set, zero_indices=(), profile=None):
             "unique solution concentrates all weight on orbit %d with weight %d: "
             "the action is transitive on the Weierstrass points" % (j + 1, target // coeffs[j])
         )
-        return TransitivityVerdict(
-            TransitivityStatus.TRANSITIVE, (1, 1), tuple(reasons), guaranteed
-        )
-    if lo >= 2:
+        status, span = TransitivityStatus.TRANSITIVE, (1, 1)
+    elif lo >= 2:
         reasons.append(
             "every surviving solution involves at least %d orbits: not transitive" % lo
         )
-        return TransitivityVerdict(
-            TransitivityStatus.NOT_TRANSITIVE, (lo, hi), tuple(reasons), guaranteed
+        status, span = TransitivityStatus.NOT_TRANSITIVE, (lo, hi)
+    else:
+        reasons.append(
+            "surviving solutions allow between %d and %d orbits: undecided" % (lo, hi)
         )
-    reasons.append(
-        "surviving solutions allow between %d and %d orbits: undecided" % (lo, hi)
-    )
-    return TransitivityVerdict(
-        TransitivityStatus.UNDECIDED, (lo, hi), tuple(reasons), guaranteed
-    )
+        status, span = TransitivityStatus.UNDECIDED, (lo, hi)
+    return TransitivityVerdict(status, span, tuple(reasons), guaranteed), surviving
 
 
 def necessary_weight(group_order, stabilizer_order, g):

@@ -1,4 +1,5 @@
-"""Shared pytest wiring: oracle assert rewriting and the acceptance summary.
+"""Shared pytest wiring: oracle assert rewriting, fresh weight-equation
+memos for every test, and the acceptance summary.
 
 After every run that touched tests/test_acceptance.py, print one
 PASS/FAIL line per numbered criterion so the checklist can be read off
@@ -10,10 +11,29 @@ import re
 
 import pytest
 
+from wptrans import orbitweights
+
 # oracles.py guards its results with bare asserts; rewriting them like a
 # test module's keeps them under python -O.  This must run before any
 # test module imports oracles.
 pytest.register_assert_rewrite("oracles")
+
+# every per-process memo of the weight equation: a test that counts walks,
+# cache hits or misses starts from none of the entries earlier tests left
+ORBITWEIGHTS_MEMOS = (
+    orbitweights._differences,
+    orbitweights._certificates,
+    orbitweights._equation_supports,
+    orbitweights._equation_count,
+)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_orbitweights_memos():
+    for memo in ORBITWEIGHTS_MEMOS:
+        memo.cache_clear()
+    orbitweights._VERDICTS.clear()
+
 
 ACCEPTANCE_FILE = "test_acceptance.py"
 

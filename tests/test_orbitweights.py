@@ -64,6 +64,10 @@ def test_solver_small_cases():
     assert solve_weight_equation([2], 0).solutions == ((0,),)
     assert solve_weight_equation([3, 5], 22).solutions == ((4, 2),)
     assert solve_weight_equation(*KLEIN).solutions == ((1, 0, 0, 0),)
+    # a set built from a list keys the memos by the same tuple
+    listed = WeightEquationSolutionSet(KLEIN[0], KLEIN[1])
+    assert listed == solve_weight_equation(*KLEIN)
+    assert classify(listed) is classify(solve_weight_equation(*KLEIN))
 
 
 def test_solver_rejects_bad_input():
@@ -367,7 +371,9 @@ def test_masked_count_must_lie_within_the_count():
 
 
 def test_solution_set_check_survives_optimize():
-    # python -O strips bare asserts; the self-checks must still raise
+    # python -O strips bare asserts; the self-checks must still raise.  The
+    # masked classify is decided untampered first, so the tampered count is
+    # checked on the memo's hit path
     code = ("from wptrans import orbitweights\n"
             "from wptrans.surfacecore import InvariantError\n"
             "for coefficients, target, listing in %r:\n"
@@ -377,6 +383,7 @@ def test_solution_set_check_survives_optimize():
             "    except InvariantError as exc:\n"
             "        print('raised:', exc)\n"
             "sol = orbitweights.solve_weight_equation(%r, %r)\n"
+            "orbitweights.classify(sol, zero_indices=(0, 1))\n"
             "sol.__dict__['count'] = 2\n"
             "try:\n"
             "    orbitweights.classify(sol, zero_indices=(0, 1))\n"
@@ -526,6 +533,20 @@ def test_classify_masked_psl13():
     assert any("mask" in r for r in verdict.reasons)
 
 
+def test_classify_rejects_a_profile_of_another_width():
+    # a profile narrower than the equation used to index past its end (an
+    # IndexError here) or describe unrelated orbits (a verdict for Klein)
+    for coefficients, target in (((2, 3, 1), 1), KLEIN):
+        sol = solve_weight_equation(coefficients, target)
+        with pytest.raises(ValueError) as caught:
+            classify(sol, profile=orbit_profile(168, (2,)))
+        assert str(caught.value) == (
+            "the profile has 2 stabilizer orders, the equation %d coefficients"
+            % len(coefficients))
+    with pytest.raises(ValueError, match="the profile has 5 stabilizer orders, the equation 4"):
+        classify(solve_weight_equation(*KLEIN), profile=orbit_profile(168, (2, 3, 7, 7)))
+
+
 @pytest.mark.parametrize("genus, status, count_range, guaranteed, count", [
     (118, TransitivityStatus.NOT_TRANSITIVE, (2, 4), (1, 2), 790_244),       # PSL(2,27)
     (146, TransitivityStatus.UNDECIDED, (1, 4), (2,), 2_829_056),            # PSL(2,29)
@@ -631,6 +652,73 @@ def test_each_differences_miss_walks_once(monkeypatch):
                      ((12, 8, 6, 3, 1), 96, (96, 72, 48, 24, 0)),
                      ((2, 1), 3, (2, 0))]
     assert orbitweights._differences.cache_info().misses == 3
+
+
+def test_a_repeat_classify_walks_nothing_and_shares_its_verdict(monkeypatch):
+    profile = orbit_profile(1092, (2, 3, 7))
+    sol = solve_weight_equation(*PSL13)
+    calls = _counted_walks(monkeypatch)
+    first = classify(sol, zero_indices=(1, 0), profile=profile)
+    assert calls
+    del calls[:]
+    again = classify(solve_weight_equation(*PSL13), zero_indices=(0, 1, 0), profile=profile)
+    assert again is first
+    assert calls == []
+
+
+def test_a_fresh_set_of_a_decided_equation_walks_nothing(monkeypatch):
+    calls = _counted_walks(monkeypatch)
+    decided = solve_weight_equation(*PSL13)
+    supports, count = decided.supports, decided.count
+    assert calls
+    del calls[:]
+    fresh = solve_weight_equation(*PSL13)
+    assert fresh.supports is supports
+    assert fresh.count == count == 10
+    assert calls == []
+
+
+def test_a_memoized_mask_still_validates_its_indices():
+    # 0.0 and False equal 0 and True equals 1, so they would hit the memo
+    sol = solve_weight_equation(*PSL13)
+    classify(sol, zero_indices=(0,))
+    classify(sol, zero_indices=(1,))
+    for mask in ((0.0,), (True,), (False,)):
+        with pytest.raises(ValueError) as caught:
+            classify(sol, zero_indices=mask)
+        assert str(caught.value) == "mask indices must be integers, got %r" % (mask,)
+
+
+@pytest.mark.parametrize("coefficients, target, periods", [
+    (*KLEIN, (2, 3, 7)), (*PSL13, (2, 3, 7)),
+])
+def test_memoized_verdicts_match_the_brute_oracle(coefficients, target, periods):
+    # every mask, with and without a profile, decided and then repeated
+    sol = solve_weight_equation(coefficients, target)
+    profile = orbit_profile(coefficients[-1], periods)
+    for repeat in range(2):
+        decided = 0
+        for mask in _supports(len(coefficients)):
+            for given_profile in (None, profile):
+                outcome = _outcome(classify, sol, mask, given_profile)
+                assert outcome == _outcome(brute_classify, sol, mask, given_profile), (
+                    mask, repeat)
+                decided += outcome[0] != "ValueError"
+        # one entry per verdict; a mask that leaves no solution keeps none
+        assert len(orbitweights._VERDICTS) == decided
+
+
+def test_every_equation_memo_is_bounded(monkeypatch):
+    for memo in (orbitweights._equation_supports, orbitweights._equation_count):
+        assert memo.cache_parameters()["maxsize"] is not None
+    # the verdict memo drops its oldest entry to stay within its size
+    monkeypatch.setattr(orbitweights, "_VERDICTS_SIZE", 2)
+    sol = solve_weight_equation(*PSL13)
+    verdicts = [classify(sol, zero_indices=mask) for mask in ((), (0,), (1,))]
+    assert [key[2] for key in orbitweights._VERDICTS] == [(0,), (1,)]
+    assert classify(sol, zero_indices=(1,)) is verdicts[2]
+    assert classify(sol) == verdicts[0]
+    assert [key[2] for key in orbitweights._VERDICTS] == [(1,), ()]
 
 
 # divisors of 360: lcm <= 360, so k * lcm <= 2,160 at width 6
